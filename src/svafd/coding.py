@@ -46,8 +46,8 @@ BLIND_LOW, BLIND_HIGH = 0.5, 2.0  # keeps 1/blind bounded during deblinding
 
 
 def quantize(arr: np.ndarray, q: int) -> np.ndarray:
-    """Snap values onto the 10^-q grid (floor, matching the signature layer's
-    integer conversion)."""
+    """Snap values onto the 10^-q grid (floor); the signature layer reads
+    grid values back as exact integers at scale 10^q."""
     scale = 10.0 ** q
     return np.floor(np.asarray(arr, dtype=float) * scale) / scale
 

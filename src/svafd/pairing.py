@@ -9,10 +9,15 @@ with q + 1 points and embedding degree 2. The prime-order-r subgroup
 with distortion map phi(x, y) = (-x, i*y) over F_{q^2} = F_q[i]/(i^2 + 1).
 The distorted x-coordinate stays in F_q, so Miller's vertical-line
 denominators land in F_q and are annihilated by the final exponentiation
-(denominator elimination), leaving only line numerators in the loop.
+(denominator elimination), leaving only line numerators in the loop. The
+same argument lets the loop keep T in Jacobian coordinates and evaluate
+projective lines, each off by an F_q factor: no inversion per step. The
+final exponentiation splits as (q - 1) * (q + 1)/r; the first factor is a
+Frobenius (conjugation on F_q[i]) over f, the second is COFACTOR.
 
 Group elements are affine points (x, y) with None for the identity;
-target-group elements are F_{q^2} values as (real, imag) tuples.
+target-group elements are F_{q^2} values as (real, imag) tuples. Both are
+hashable (proof aggregation keys on group elements).
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ GENERATOR = (
 
 GT_ONE = (1, 0)
 
+# bits per digit of the fixed-base generator table
+WINDOW = 5
+
 
 def _inv(x: int) -> int:
-    return pow(x, Q_FIELD - 2, Q_FIELD)
+    return pow(x, -1, Q_FIELD)
 
 
 def f2_mul(a, b):
@@ -131,6 +139,23 @@ def _jac_to_affine(p):
     return (x * zi2 % Q_FIELD, y * zi2 * zi % Q_FIELD)
 
 
+def _batch_to_affine(points):
+    """Jacobian points (none the identity) to affine with a single inversion
+    (Montgomery's trick)."""
+    prefix = [1]
+    for _, _, z in points:
+        prefix.append(prefix[-1] * z % Q_FIELD)
+    inv = _inv(prefix[-1])
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = inv * prefix[i] % Q_FIELD  # inv is 1 / (z_0 ... z_i) here
+        inv = inv * z % Q_FIELD
+        zi2 = zi * zi % Q_FIELD
+        out[i] = (x * zi2 % Q_FIELD, y * zi2 * zi % Q_FIELD)
+    return out
+
+
 def ec_mul(n: int, p) -> tuple | None:
     """Scalar multiplication, left-to-right Jacobian double-and-add over a
     fixed affine base (single inversion at the end)."""
@@ -147,42 +172,84 @@ def ec_mul(n: int, p) -> tuple | None:
 
 
 def _miller(p, q_distorted):
-    """f_{r,p} evaluated at the distorted point, numerator lines only."""
+    """f_{r,p} evaluated at the distorted point, up to a factor in F_q.
+
+    T stays in Jacobian coordinates (X, Y, Z) with x = X/Z^2, y = Y/Z^3.
+    Each line value is taken from X, Y, Z and scaled by a nonzero F_q factor
+    (2YZ^3 for the tangent, the new Z for the chord through P); the final
+    exponentiation erases such factors, so the loop inverts nothing.
+    """
     xq, yq_i = q_distorted  # x in F_q, y purely imaginary with coefficient yq_i
-    f = GT_ONE
-    t = p
+    xp, yp = p
+    f0, f1 = 1, 0
+    x, y, z = xp, yp, 1
     for bit in bin(ORDER)[3:]:
-        xt, yt = t
-        lam = (3 * xt * xt + 1) * _inv(2 * yt) % Q_FIELD
-        line = ((-(lam * (xq - xt) + yt)) % Q_FIELD, yq_i)
-        f = f2_mul(f2_sqr(f), line)
-        t = ec_add(t, t)
+        # tangent at T: (M (X - xq Z^2) - 2Y^2) + i yq Z3 Z^2, M = 3X^2 + Z^4
+        xx = x * x % Q_FIELD
+        yy = y * y % Q_FIELD
+        zz = z * z % Q_FIELD
+        m = (3 * xx + zz * zz) % Q_FIELD
+        z3 = 2 * y * z % Q_FIELD
+        l0 = (m * (x - xq * zz) - 2 * yy) % Q_FIELD
+        l1 = yq_i * z3 * zz % Q_FIELD
+        s0 = (f0 + f1) * (f0 - f1) % Q_FIELD
+        s1 = 2 * f0 * f1 % Q_FIELD
+        f0 = (s0 * l0 - s1 * l1) % Q_FIELD
+        f1 = (s0 * l1 + s1 * l0) % Q_FIELD
+        # T = 2T
+        d = 4 * x * yy % Q_FIELD
+        x = (m * m - 2 * d) % Q_FIELD
+        y = (m * (d - x) - 8 * yy * yy) % Q_FIELD
+        z = z3
         if bit == "1":
-            xt, yt = t
-            if xt == p[0] and (yt + p[1]) % Q_FIELD == 0:
-                # vertical line, value in F_q: erased by final exponentiation
-                line = ((xq - xt) % Q_FIELD, 0)
-            else:
-                lam = (p[1] - yt) * _inv(p[0] - xt) % Q_FIELD
-                line = ((-(lam * (xq - xt) + yt)) % Q_FIELD, yq_i)
-            f = f2_mul(f, line)
-            t = ec_add(t, p)
-    return f
+            zz = z * z % Q_FIELD
+            h = (xp * zz - x) % Q_FIELD
+            if h == 0:
+                # T = -P, only at the last step: the vertical line x = xp has
+                # its value in F_q, erased by the final exponentiation
+                break
+            # chord through P with slope rr / z3: (-yp z3 - rr (xq - xp)) + i yq z3
+            rr = 2 * (yp * z * zz - y) % Q_FIELD
+            z3 = 2 * z * h % Q_FIELD
+            l0 = (-yp * z3 - rr * (xq - xp)) % Q_FIELD
+            l1 = yq_i * z3 % Q_FIELD
+            f0, f1 = (f0 * l0 - f1 * l1) % Q_FIELD, (f0 * l1 + f1 * l0) % Q_FIELD
+            # T = T + P
+            hh = h * h % Q_FIELD
+            j = 4 * h * hh % Q_FIELD
+            v = 4 * x * hh % Q_FIELD
+            x = (rr * rr - j - 2 * v) % Q_FIELD
+            y = (rr * (v - x) - 2 * y * j) % Q_FIELD
+            z = z3
+    return f0, f1
 
 
 def tate_pairing(p, q) -> tuple:
-    """Modified Tate pairing e(p, q) with the distortion map on q."""
+    """Modified Tate pairing e(p, q) with the distortion map on q.
+
+    Final exponentiation f^((q^2 - 1)/r) = (f^(q - 1))^((q + 1)/r): Frobenius
+    on F_q[i] is conjugation, so f^(q - 1) = conj(f)/f = conj(f)^2 / N(f)
+    with the norm N(f) in F_q, and (q + 1)/r is COFACTOR.
+    """
     if p is None or q is None:
         return GT_ONE
-    f = _miller(p, ((-q[0]) % Q_FIELD, q[1]))
-    return f2_pow(f, (Q_FIELD * Q_FIELD - 1) // ORDER)
+    f0, f1 = _miller(p, ((-q[0]) % Q_FIELD, q[1]))
+    n_inv = _inv(f0 * f0 + f1 * f1)
+    c0, c1 = f2_sqr((f0, -f1))
+    return f2_pow((c0 * n_inv % Q_FIELD, c1 * n_inv % Q_FIELD), COFACTOR)
 
 
 class PairingBackend:
     """Pairing-group backend over the supersingular curve.
 
-    Generator powers use a fixed-base table of doublings; e(g,g) is cached
-    for target-group exponentiation.
+    Pairings run the inversion-free Jacobian Miller loop and the Frobenius
+    final exponentiation above. Generator powers use a fixed-base table of
+    WINDOW-bit windows: row j holds m * 2^(WINDOW*j) * g for m = 1 .. 2^WINDOW - 1
+    as affine points, so g^a is one mixed addition per nonzero digit of a and
+    a single inversion. e(g,g) is cached for target-group exponentiation.
+
+    Group elements (affine tuples or None) and target-group elements (tuples)
+    are hashable; aggregate_proof keys on weight signatures to fold pairings.
     """
 
     name = "pairing"
@@ -191,10 +258,15 @@ class PairingBackend:
         self.order = ORDER
         self.g = GENERATOR
         self._table = []
-        point = GENERATOR
-        for _ in range(ORDER.bit_length() + 1):
-            self._table.append(point)
-            point = _jac_to_affine(_jac_double((point[0], point[1], 1)))
+        base = GENERATOR
+        for _ in range(-(-ORDER.bit_length() // WINDOW)):
+            # m * base for m = 1 .. 2^WINDOW; the last is the next row's base
+            jac = [(base[0], base[1], 1)]
+            for _ in range(2**WINDOW - 1):
+                jac.append(_jac_add_affine(jac[-1], base))
+            row = _batch_to_affine(jac)
+            self._table.append(row[:-1])
+            base = row[-1]
         self._e_gg = tate_pairing(self.g, self.g)
 
     @property
@@ -206,12 +278,14 @@ class PairingBackend:
         if a == 0:
             return None
         acc = None
-        i = 0
-        while a:
-            if a & 1:
-                acc = _jac_add_affine(acc, self._table[i])
-            a >>= 1
-            i += 1
+        mask = 2**WINDOW - 1
+        for row in self._table:
+            digit = a & mask
+            if digit:
+                acc = _jac_add_affine(acc, row[digit - 1])
+            a >>= WINDOW
+            if not a:
+                break
         return _jac_to_affine(acc)
 
     def g_mul(self, x, y):

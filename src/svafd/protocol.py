@@ -420,7 +420,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None, collect_arrays: bo
                     bus.send(SHARE, member, share.receiver, {"leader": leader, "share": share})
         bundles_by_group[leader] = bundles
 
-        weight_ints = [int(round(w * 10**cfg.q)) for w in plan.weights]
+        weight_ints = [sigcrypto.quantize_weight(w, cfg.q) for w in plan.weights]
         weight_sigs = dict(zip(plan.members, sigcrypto.sign_weights(weight_ints, backend)))
         bus.send(AUX_PROOF, leader, SERVER, {"leader": leader, "weight_sigs": weight_sigs})
         aux_by_group[leader] = {
@@ -552,7 +552,7 @@ def run_single_group(
 
     with perf.timer("leader", "preprocess"):
         plan = coding.make_group_plan(r, members, k, t, shape, rng, radius=radius, q=q)
-    weight_ints = [int(round(w * 10**q)) for w in plan.weights]
+    weight_ints = [sigcrypto.quantize_weight(w, q) for w in plan.weights]
     weight_sigs = None
     if backend is not None:
         with perf.timer("leader", "auxiliary", count=r):

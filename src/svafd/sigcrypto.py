@@ -50,12 +50,13 @@ def digest(bundle: SplitBundle) -> list[float]:
     return [float(s.sum()) for s in bundle.slices]
 
 
-def _digest_exponent(v: float, q: int) -> int:
-    # digests of grid-quantized slices are integers at scale 10^q up to
-    # float accumulation noise; round-to-nearest recovers them exactly
+def _grid_int(v: float, q: int, what: str) -> int:
+    # values on the 10^-q grid (weights, and digests of grid-quantized
+    # slices) are integers at scale 10^q up to float representation and
+    # accumulation noise; round-to-nearest recovers them exactly
     scaled = v * 10.0**q
     if abs(scaled) >= _INT_GUARD:
-        raise Overflow(f"digest {v} exceeds the integer guard at q={q}")
+        raise Overflow(f"{what} {v} exceeds the integer guard at q={q}")
     return round(scaled)
 
 
@@ -111,11 +112,12 @@ def gen_key(backend, rng) -> PrivateKey:
 
 def sign_logits(digests, key: PrivateKey, q: int, backend) -> list:
     """One group element per slice: g^(digest-at-scale-q + key)."""
-    return [backend.g_pow((_digest_exponent(v, q) + key.upsilon) % backend.order) for v in digests]
+    return [backend.g_pow((_grid_int(v, q, "digest") + key.upsilon) % backend.order) for v in digests]
 
 
 def quantize_weight(w: float, q: int) -> int:
-    return conv(w, q)
+    """A grid-quantized weight as the exact integer w * 10^q (round to nearest)."""
+    return _grid_int(w, q, "weight")
 
 
 def sign_weights(weights_quantized, backend) -> list:
@@ -138,20 +140,26 @@ class Proof:
 
 
 def aggregate_proof(aux: AuxProofs, backend) -> Proof:
-    """pi = prod over members of e(prod_k slice_sig_k, weight_sig)."""
+    """pi = prod over members of e(prod_k slice_sig_k, weight_sig).
+
+    Members whose weight signatures are equal share one pairing, by
+    bilinearity: prod_z e(A_z, W) = e(prod_z A_z, W). Uniform plan weights
+    thus need one pairing per group. Group elements must be hashable.
+    """
     if set(aux.logits_sigs) != set(aux.weight_sigs):
         raise IncompleteAux(
             f"members with slice sigs {sorted(aux.logits_sigs)} != weight sigs {sorted(aux.weight_sigs)}"
         )
     if not aux.logits_sigs:
         raise IncompleteAux("no signature material")
-    pi = backend.gt_identity
+    folded = {}  # weight signature -> product of its members' slice signatures
     for member in sorted(aux.logits_sigs):
-        sigs = aux.logits_sigs[member]
-        combined = sigs[0]
-        for s in sigs[1:]:
-            combined = backend.g_mul(combined, s)
-        pi = backend.gt_mul(pi, backend.pair(combined, aux.weight_sigs[member]))
+        w = aux.weight_sigs[member]
+        for s in aux.logits_sigs[member]:
+            folded[w] = backend.g_mul(folded[w], s) if w in folded else s
+    pi = backend.gt_identity
+    for w, combined in folded.items():
+        pi = backend.gt_mul(pi, backend.pair(combined, w))
     return Proof(pi_c=pi)
 
 

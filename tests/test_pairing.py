@@ -89,3 +89,59 @@ def test_pairing_of_sums_splits():
     lhs = backend.pair(backend.g_mul(p1, p2), GENERATOR)
     rhs = backend.gt_mul(backend.pair(p1, GENERATOR), backend.pair(p2, GENERATOR))
     assert lhs == rhs
+
+
+def _reference_pairing(p, q):
+    """Affine Miller loop with a Fermat inverse per line and the full final
+    exponentiation f^((q^2 - 1)/r): the textbook form the fast pairing must
+    reproduce exactly."""
+    if p is None or q is None:
+        return GT_ONE
+
+    def inv(x):
+        return pow(x, Q_FIELD - 2, Q_FIELD)
+
+    def mul(a, b):
+        return ((a[0] * b[0] - a[1] * b[1]) % Q_FIELD, (a[0] * b[1] + a[1] * b[0]) % Q_FIELD)
+
+    xq, yq_i = (-q[0]) % Q_FIELD, q[1]
+    f = GT_ONE
+    t = p
+    for bit in bin(ORDER)[3:]:
+        xt, yt = t
+        lam = (3 * xt * xt + 1) * inv(2 * yt) % Q_FIELD
+        f = mul(mul(f, f), ((-(lam * (xq - xt) + yt)) % Q_FIELD, yq_i))
+        t = ec_add(t, t)
+        if bit == "1":
+            xt, yt = t
+            if xt == p[0] and (yt + p[1]) % Q_FIELD == 0:
+                line = ((xq - xt) % Q_FIELD, 0)
+            else:
+                lam = (p[1] - yt) * inv(p[0] - xt) % Q_FIELD
+                line = ((-(lam * (xq - xt) + yt)) % Q_FIELD, yq_i)
+            f = mul(f, line)
+            t = ec_add(t, p)
+    e = (Q_FIELD * Q_FIELD - 1) // ORDER
+    res = GT_ONE
+    while e:
+        if e & 1:
+            res = mul(res, f)
+        f = mul(f, f)
+        e >>= 1
+    return res
+
+
+def test_pairing_matches_affine_reference():
+    assert tate_pairing(GENERATOR, GENERATOR) == _reference_pairing(GENERATOR, GENERATOR)
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        a = int.from_bytes(rng.bytes(24), "big") % (ORDER - 1) + 1
+        b = int.from_bytes(rng.bytes(24), "big") % (ORDER - 1) + 1
+        p, q = ec_mul(a, GENERATOR), ec_mul(b, GENERATOR)
+        assert tate_pairing(p, q) == _reference_pairing(p, q)
+
+
+def test_fixed_base_table_window_edges():
+    backend = PairingBackend()
+    for a in (1, 15, 16, 31, 32, 255, 2**160 - 1, ORDER - 1, ORDER + 1):
+        assert backend.g_pow(a) == ec_mul(a % ORDER, GENERATOR), a

@@ -50,6 +50,19 @@ class TestConv:
             conv(1e60, 3)
 
 
+class TestQuantizeWeight:
+    def test_grid_weights_round_to_nearest(self):
+        # floor(w * 10^q) loses a unit where the float lands just below the
+        # grid point (0.29 * 100 = 28.999...)
+        for q in (0, 1, 2, 3, 4, 6):
+            for i in range(0, min(10**q, 10**4) + 1):
+                assert quantize_weight(i / 10**q, q) == i, (q, i)
+
+    def test_overflow_guard(self):
+        with pytest.raises(Overflow):
+            quantize_weight(1e60, 3)
+
+
 class TestDigest:
     def test_small_slice(self):
         b = split(np.array([[1.0, 2.0], [3.0, 4.0]]), 1, "class")
@@ -139,11 +152,74 @@ class TestAggregateProof:
             aggregate_proof(aux, MOCK)
 
 
-def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MOCK, sigma=50.0):
+# shared weight signatures (0.25 twice, 0.125 twice) and distinct ones,
+# including a zero weight, whose signature is the identity
+FOLD_WEIGHTS = [0.25, 0.25, 0.125, 0.375, 0.125, 0.0]
+
+
+class CountingMock(MockBackend):
+    def __init__(self):
+        super().__init__()
+        self.pairings = 0
+
+    def pair(self, x, y):
+        self.pairings += 1
+        return super().pair(x, y)
+
+
+def fold_material(backend, seed=11, k=2):
+    rng = np.random.default_rng(seed)
+    wq = [quantize_weight(w, 3) for w in FOLD_WEIGHTS]
+    weight_sigs = dict(enumerate(sign_weights(wq, backend)))
+    logits_sigs = {
+        z: tuple(sign_logits([float(rng.integers(-50, 50)) for _ in range(k)], gen_key(backend, rng), 0, backend))
+        for z in range(len(wq))
+    }
+    # an identity slice signature (digest + key = 0 mod the order)
+    logits_sigs[1] = (backend.g_pow(0),) + logits_sigs[1][1:]
+    return AuxProofs(logits_sigs=logits_sigs, weight_sigs=weight_sigs)
+
+
+class TestProofFolding:
+    @pytest.mark.parametrize("name", ["mock", "pairing"])
+    def test_folded_proof_equals_per_member_product(self, name):
+        backend = get_backend(name)
+        aux = fold_material(backend)
+        want = backend.gt_identity
+        for z in sorted(aux.logits_sigs):
+            combined = aux.logits_sigs[z][0]
+            for s in aux.logits_sigs[z][1:]:
+                combined = backend.g_mul(combined, s)
+            want = backend.gt_mul(want, backend.pair(combined, aux.weight_sigs[z]))
+        assert aggregate_proof(aux, backend).pi_c == want
+
+    def test_identity_slice_signature_alone(self):
+        backend = get_backend("pairing")
+        aux = AuxProofs(logits_sigs={0: (None, None)}, weight_sigs={0: backend.g_pow(5)})
+        assert aggregate_proof(aux, backend).pi_c == backend.gt_identity
+
+    def test_one_pairing_per_weight_signature(self):
+        backend = CountingMock()
+        aggregate_proof(fold_material(backend), backend)
+        assert backend.pairings == len(set(FOLD_WEIGHTS))
+
+    @pytest.mark.parametrize("name", ["mock", "pairing"])
+    def test_verify_accepts_folded_nonuniform_proof(self, name):
+        backend = get_backend(name)
+        proof, teacher, wq, keys, k, q = honest_group_run(
+            seed=9, r=6, k=2, t=1, backend=backend, weights=FOLD_WEIGHTS
+        )
+        assert verify(proof, teacher, wq, keys, k, q, backend).accepted
+        teacher = teacher.copy()
+        teacher[0, 0] += 10.0**-q
+        assert not verify(proof, teacher, wq, keys, k, q, backend).accepted
+
+
+def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MOCK, sigma=50.0, weights=None):
     """Full pipeline incl. signatures; returns everything verify needs."""
     rng = np.random.default_rng(seed)
     shape = (d, d) if grain == "class" else (omega, d)
-    plan = make_group_plan(0, list(range(r)), k, t, shape, rng, q=q)
+    plan = make_group_plan(0, list(range(r)), k, t, shape, rng, q=q, weights=weights)
     f = monomial(1)
     bundles, keys, logits_sigs = {}, {}, {}
     for z in range(r):
@@ -152,8 +228,7 @@ def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MO
         bundles[z] = blind(split(logits, k, grain, rng=rng, quantize_digits=q), t, sigma, 6.0, rng)
         keys[z] = gen_key(backend, rng)
         logits_sigs[z] = tuple(sign_logits(digest(bundles[z]), keys[z], q, backend))
-    # plan weights already sit on the 10^-q grid; round recovers the integers
-    wq = [int(round(w * 10**q)) for w in plan.weights]
+    wq = [quantize_weight(w, q) for w in plan.weights]
     weight_sigs = dict(zip(range(r), sign_weights(wq, backend)))
     inbox = {x: [] for x in range(r)}
     for z in range(r):
