@@ -126,6 +126,34 @@ def intimacy_list(owner: int, hashed: dict[int, HashedCal]) -> IntimacyList:
     return IntimacyList(owner=owner, scores=scores)
 
 
+def intimacy_matrix(hashed: dict[int, HashedCal]) -> np.ndarray:
+    """Every client's intimacy list at once, as rows of an (n, n) matrix.
+
+    One masked Gram computation replaces the n^2 pairwise `intimacy` calls:
+    entry (i, j) sums the per-class-row dot products over rows present on
+    both sides, and the masked squared norms of the two operands are
+    (M * rownorm^2) @ M^T and its transpose, M being the presence masks.
+    Row i equals `intimacy_list(i, hashed).scores`: the same clip, the same
+    zero-norm -> 0 rule, 1.0 on the owner's own slot and 0 for missing ids.
+    """
+    n = max(hashed) + 1
+    first = next(iter(hashed.values())).matrix
+    h = np.zeros((n,) + first.shape)
+    present = np.zeros((n, first.shape[0]))
+    for cid, hc in hashed.items():
+        h[cid] = hc.matrix
+        present[cid] = hc.present
+    masked = (h * present[:, :, None]).reshape(n, -1)
+    dots = masked @ masked.T
+    norms2 = (present * (h**2).sum(axis=2)) @ present.T  # [i, j]: |row i masked by j|^2
+    denom = np.sqrt(norms2) * np.sqrt(norms2.T)
+    scores = np.divide(dots, denom, out=np.zeros((n, n)), where=denom > 0.0)
+    np.clip(scores, -1.0, 1.0, out=scores)
+    for cid in hashed:
+        scores[cid, cid] = 1.0
+    return scores
+
+
 def select_group(ilist: IntimacyList, r: int) -> list[int]:
     """Ids of the r highest-scoring candidates, owner excluded; ties broken
     by ascending client id. Output is in descending-score order."""

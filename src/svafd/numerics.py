@@ -96,17 +96,6 @@ def make_nodes(
     return InterpolationNodes(alphas=alphas, betas=betas, radius=radius)
 
 
-def lagrange_coeff(nodes: InterpolationNodes, j: int, x: complex) -> complex:
-    """Lagrange basis coefficient l_j(x) over the anchor set, 1-based j."""
-    betas = nodes.betas
-    m = len(betas)
-    if not 1 <= j <= m:
-        raise IndexError(f"anchor index {j} outside [1, {m}]")
-    bj = betas[j - 1]
-    others = np.delete(betas, j - 1)
-    return complex(np.prod((x - others) / (bj - others)))
-
-
 def lagrange_matrix(nodes: InterpolationNodes) -> np.ndarray:
     """Matrix L with L[j, x] = l_{j+1}(alpha_x), shape (k+t, group_size).
 

@@ -16,6 +16,7 @@ interpolation threshold succeed, the rest record the failure.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -122,29 +123,55 @@ class GroupResult:
     teacher: np.ndarray | None = None
     oracle: np.ndarray | None = None
     probe_distance: int | None = None
+    margin_warning: bool = False  # verification's rounding margin was thin (not exported)
+
+
+_quote = functools.cache(json.dumps)  # JSON text of a message kind or stage name
+
+
+@functools.cache
+def _dtype_bytes(dtype) -> bytes:
+    return str(dtype).encode()
+
+
+@functools.cache
+def _layout(cls):
+    """How `_feed` walks instances of cls: a one-letter tag, and for a
+    dataclass its name and field names."""
+    if issubclass(cls, np.ndarray):
+        return "A"
+    if issubclass(cls, dict):
+        return "D"
+    if issubclass(cls, (list, tuple)):
+        return "L"
+    if hasattr(cls, "__dataclass_fields__"):
+        return cls.__name__.encode(), tuple(f.name for f in fields(cls))
+    return "R"
 
 
 def _feed(h, obj):
-    if isinstance(obj, np.ndarray):
+    layout = _layout(type(obj))
+    if layout == "R":
+        h.update(repr(obj).encode())
+    elif layout == "A":
         h.update(b"A")
-        h.update(str(obj.dtype).encode())
+        h.update(_dtype_bytes(obj.dtype))
         h.update(str(obj.shape).encode())
         h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, dict):
+    elif layout == "D":
         h.update(b"D")
         for key in sorted(obj, key=repr):
             _feed(h, key)
             _feed(h, obj[key])
-    elif isinstance(obj, (list, tuple)):
+    elif layout == "L":
         h.update(b"L")
         for item in obj:
             _feed(h, item)
-    elif hasattr(obj, "__dataclass_fields__"):
-        h.update(type(obj).__name__.encode())
-        for f in fields(obj):
-            _feed(h, getattr(obj, f.name))
     else:
-        h.update(repr(obj).encode())
+        name, names = layout
+        h.update(name)
+        for f in names:
+            _feed(h, getattr(obj, f))
 
 
 def payload_digest(payload) -> str:
@@ -175,20 +202,25 @@ class RoundTranscript:
         return out
 
     def export_jsonl(self) -> str:
+        """One JSON line per message (sorted keys, payload as its SHA-256),
+        then one per group result in leader order.
+
+        A payload sent to many receivers (the fingerprint broadcast) is
+        digested once per call: digests are memoized by id(payload), which
+        is sound because the transcript keeps every payload alive for the
+        whole call. The memo is local, so a later export re-digests
+        everything and sees any message appended since.
+        """
+        digests: dict[int, str] = {}
         lines = []
         for m in self.messages:
+            digest = digests.get(id(m.payload))
+            if digest is None:
+                digest = digests[id(m.payload)] = payload_digest(m.payload)
+            # the same bytes as json.dumps(..., sort_keys=True) of the record
             lines.append(
-                json.dumps(
-                    {
-                        "seq": m.seq,
-                        "stage": m.stage,
-                        "kind": m.kind,
-                        "from": m.sender,
-                        "to": m.receiver,
-                        "payload_sha256": payload_digest(m.payload),
-                    },
-                    sort_keys=True,
-                )
+                f'{{"from": {m.sender}, "kind": {_quote(m.kind)}, "payload_sha256": "{digest}", '
+                f'"seq": {m.seq}, "stage": {_quote(m.stage)}, "to": {m.receiver}}}'
             )
         for leader in sorted(self.group_results):
             res = self.group_results[leader]
@@ -210,13 +242,19 @@ class RoundTranscript:
 
 
 class MessageBus:
-    """Deterministic in-process delivery: messages are recorded and handed to
-    per-party inboxes in send order. The transcript append is locked only by
+    """Deterministic in-process delivery: every message is recorded in the
+    transcript and filed in an inbox in send order.
+
+    Inboxes are indexed by (receiver, kind, leader), where leader is the
+    payload's "leader" entry (None for payloads without one), so `take`
+    pops exactly one group's messages of one kind without scanning or
+    requeueing anyone else's. Messages nobody takes (the fingerprint
+    broadcast) just stay filed. The transcript append is locked only by
     Python's GIL semantics; a single-threaded scheduler drives this engine."""
 
     def __init__(self, transcript: RoundTranscript):
         self.transcript = transcript
-        self.inboxes: dict[int, list[Message]] = {}
+        self.inboxes: dict[tuple, list[Message]] = {}
         self._seq = 0
 
     def send(self, kind: str, sender: int, receiver: int, payload) -> Message:
@@ -230,14 +268,14 @@ class MessageBus:
         )
         self._seq += 1
         self.transcript.messages.append(msg)
-        self.inboxes.setdefault(receiver, []).append(msg)
+        leader = payload.get("leader") if isinstance(payload, dict) else None
+        self.inboxes.setdefault((receiver, kind, leader), []).append(msg)
         return msg
 
-    def take(self, receiver: int, kind: str) -> list[Message]:
-        box = self.inboxes.get(receiver, [])
-        out = [m for m in box if m.kind == kind]
-        self.inboxes[receiver] = [m for m in box if m.kind != kind]
-        return out
+    def take(self, receiver: int, kind: str, leader=None) -> list[Message]:
+        """Remove and return, in send order, the messages of this kind for
+        this receiver whose payload names this leader."""
+        return self.inboxes.pop((receiver, kind, leader), [])
 
 
 class PerfRecorder:
@@ -348,10 +386,10 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None, collect_arrays: bo
         for other in clients:
             if other != cid:
                 bus.send(HASHED_CAL, cid, other, hashed[cid])
-    groups = {}
-    for cid in clients:
-        ilist = filtration.intimacy_list(cid, hashed)
-        groups[cid] = filtration.select_group(ilist, cfg.r)
+    scores = filtration.intimacy_matrix(hashed)
+    groups = {
+        cid: filtration.select_group(filtration.IntimacyList(cid, scores[cid]), cfg.r) for cid in clients
+    }
     topology = filtration.build_topology(groups)
     transcript.topology = topology
 
@@ -431,11 +469,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None, collect_arrays: bo
         for member in sorted(roster):
             if member in stragglers:
                 continue
-            for msg in bus.take(member, SHARE):
-                if msg.payload["leader"] == leader:
-                    inboxes[member].append(msg.payload["share"])
-                else:  # another group's share: leave it queued
-                    bus.inboxes.setdefault(member, []).append(msg)
+            inboxes[member].extend(msg.payload["share"] for msg in bus.take(member, SHARE, leader))
             view = {m: plan.blinded_weight_of(m) for m in live}
             if (
                 group_tamper is not None
@@ -454,17 +488,15 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None, collect_arrays: bo
             )
 
     # --- verification --------------------------------------------------
-    agg_msgs = bus.take(SERVER, AGGREGATED_SHARE)
-    aux_msgs = bus.take(SERVER, AUX_PROOF)
-    logits_sigs_all: dict[int, dict] = {}
-    for msg in aux_msgs:
-        if "logits_sigs" in msg.payload:
-            logits_sigs_all.setdefault(msg.payload["leader"], {})[msg.sender] = msg.payload["logits_sigs"]
-
     for leader in clients:
         plan = plans[leader]
         live = live_by_group[leader]
-        group_aggs = [m for m in agg_msgs if m.payload["leader"] == leader]
+        group_aggs = bus.take(SERVER, AGGREGATED_SHARE, leader)
+        logits_sigs = {
+            m.sender: m.payload["logits_sigs"]
+            for m in bus.take(SERVER, AUX_PROOF, leader)
+            if "logits_sigs" in m.payload
+        }
         threshold = cfg.f_degree * (cfg.k + cfg.t - 1) + 1
         oracle = None
         if bundles_by_group[leader]:
@@ -492,7 +524,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None, collect_arrays: bo
             decoded[0][tamper.entry] += tamper.delta
         contributors = group_aggs[0].payload["contributors"]
         aux = sigcrypto.AuxProofs(
-            logits_sigs={z: logits_sigs_all[leader][z] for z in contributors},
+            logits_sigs={z: logits_sigs[z] for z in contributors},
             weight_sigs={z: aux_by_group[leader]["weight_sigs"][z] for z in contributors},
         )
         proof = sigcrypto.aggregate_proof(aux, backend)
@@ -517,6 +549,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None, collect_arrays: bo
             teacher=teacher if collect_arrays else None,
             oracle=oracle if collect_arrays else None,
             probe_distance=verdict.probe_distance,
+            margin_warning=verdict.margin_warning,
         )
     return transcript
 
@@ -602,6 +635,7 @@ def run_single_group(
     teacher = coding.deblind_and_join(decoded, plan.blind_factor, grain)
     verdict_str = "accept"
     probe = None
+    margin_warning = False
     if backend is not None:
         with perf.timer("leader", "verify"):
             verdict = sigcrypto.verify(
@@ -609,6 +643,7 @@ def run_single_group(
             )
         verdict_str = "accept" if verdict.accepted else "reject"
         probe = verdict.probe_distance
+        margin_warning = verdict.margin_warning
 
     oracle = _oracle_teacher(bundles, dict(zip(plan.members, plan.weights)), f_coeffs, grain, k)
     return GroupResult(
@@ -620,6 +655,7 @@ def run_single_group(
         teacher=teacher,
         oracle=oracle,
         probe_distance=probe,
+        margin_warning=margin_warning,
     )
 
 

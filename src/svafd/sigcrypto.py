@@ -13,7 +13,6 @@ the pairing multiplying exponents, for fast exact property tests.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,14 +33,6 @@ _INT_GUARD = 2**62
 
 # coding-error budget assumed by the verification margin preflight
 DEFAULT_RE_BOUND = 1e-10
-
-
-def conv(x: float, q: int) -> int:
-    """Precision conversion: floor(x * 10^q) as an exact integer."""
-    scaled = x * 10.0**q
-    if abs(scaled) >= _INT_GUARD:
-        raise Overflow(f"|{x}| * 10^{q} exceeds the integer guard")
-    return math.floor(scaled)
 
 
 def digest(bundle: SplitBundle) -> list[float]:

@@ -1,5 +1,6 @@
 """Shared test fixtures: a self-contained group pipeline with a slice-wise
-plaintext oracle, and a filtration run under random-logits poisoning."""
+plaintext oracle, a filtration run under random-logits poisoning, and the
+scalar Lagrange basis coefficient used as a reference for the vectorized one."""
 
 import numpy as np
 
@@ -25,6 +26,17 @@ from svafd.filtration import (
 )
 from svafd.threats import AttackSpec, poison_samples
 from svafd.workload import dirichlet_population, gen_logits
+
+
+def lagrange_coeff(nodes, j: int, x: complex) -> complex:
+    """Lagrange basis coefficient l_j(x) over the anchor set, 1-based j."""
+    betas = nodes.betas
+    m = len(betas)
+    if not 1 <= j <= m:
+        raise IndexError(f"anchor index {j} outside [1, {m}]")
+    bj = betas[j - 1]
+    others = np.delete(betas, j - 1)
+    return complex(np.prod((x - others) / (bj - others)))
 
 
 def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0, theta=6.0, q=3, drop=()):

@@ -21,10 +21,10 @@ from svafd.coding import (
     quantize,
     split,
 )
-from svafd.numerics import lagrange_coeff, make_nodes, relative_error
+from svafd.numerics import make_nodes, relative_error
 
 
-from helpers import full_pipeline
+from helpers import full_pipeline, lagrange_coeff
 
 
 def naive_lagrange(betas, j, x):

@@ -11,6 +11,7 @@ from svafd.filtration import (
     compute_cal,
     intimacy,
     intimacy_list,
+    intimacy_matrix,
     lsh_project,
     select_group,
 )
@@ -173,3 +174,65 @@ def test_intimacy_list_excludes_owner_via_selection():
     ilist = intimacy_list(0, hashed)
     assert ilist.scores[0] == 1.0
     assert select_group(ilist, 1) == [1]
+
+
+def mixed_fingerprints(seed, n=24, d=6, p=5):
+    """Hashed fingerprints with absent class rows (carrying nonzero values
+    the mask must drop), an all-zero fingerprint, a client with no class
+    present, and exact duplicates of client 1 at ids 5 and 9."""
+    rng = np.random.default_rng(seed)
+    hashed = {}
+    for cid in range(n):
+        present = rng.random(d) < 0.7
+        hashed[cid] = HashedCal(matrix=rng.standard_normal((d, p)), present=present)
+    hashed[3] = HashedCal(matrix=np.zeros((d, p)), present=np.ones(d, dtype=bool))
+    hashed[4] = HashedCal(matrix=rng.standard_normal((d, p)), present=np.zeros(d, dtype=bool))
+    for dup in (5, 9):
+        hashed[dup] = HashedCal(matrix=hashed[1].matrix.copy(), present=hashed[1].present.copy())
+    return hashed
+
+
+class TestIntimacyMatrix:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_pairwise_intimacy(self, seed):
+        hashed = mixed_fingerprints(seed)
+        scores = intimacy_matrix(hashed)
+        for i in hashed:
+            for j in hashed:
+                want = 1.0 if i == j else intimacy(hashed[i], hashed[j])
+                assert abs(scores[i, j] - want) <= 1e-12, (i, j)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_selected_groups_match_intimacy_list(self, seed):
+        hashed = mixed_fingerprints(seed)
+        scores = intimacy_matrix(hashed)
+        for r in (1, 4, 10, len(hashed) - 1):
+            for cid in hashed:
+                got = select_group(IntimacyList(cid, scores[cid]), r)
+                assert got == select_group(intimacy_list(cid, hashed), r)
+
+    def test_degenerate_fingerprints_score_zero(self):
+        scores = intimacy_matrix(mixed_fingerprints(0))
+        for degenerate in (3, 4):  # all-zero values, no class present
+            others = [j for j in range(len(scores)) if j != degenerate]
+            assert np.all(scores[degenerate, others] == 0.0)
+            assert np.all(scores[others, degenerate] == 0.0)
+            assert scores[degenerate, degenerate] == 1.0
+
+    def test_duplicate_fingerprints_tie_exactly_and_break_by_id(self):
+        hashed = mixed_fingerprints(1)
+        scores = intimacy_matrix(hashed)
+        for owner in hashed:
+            if owner not in (1, 5, 9):
+                assert scores[owner, 1] == scores[owner, 5] == scores[owner, 9]
+        # an owner sharing the duplicates' fingerprint ranks its twins first,
+        # in ascending id order
+        assert select_group(IntimacyList(5, scores[5]), 2) == [1, 9]
+        assert select_group(IntimacyList(1, scores[1]), 2) == [5, 9]
+
+    def test_missing_ids_score_zero(self):
+        hashed = {cid: h for cid, h in mixed_fingerprints(2, n=12).items() if cid != 6}
+        scores = intimacy_matrix(hashed)
+        assert scores.shape == (12, 12)
+        np.testing.assert_array_equal(scores[:, 6], 0.0)
+        np.testing.assert_allclose(scores[0], intimacy_list(0, hashed).scores, rtol=0, atol=1e-12)

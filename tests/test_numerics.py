@@ -6,11 +6,12 @@ from svafd.numerics import (
     NodeCollision,
     ZeroTruth,
     interpolate,
-    lagrange_coeff,
     lagrange_matrix,
     make_nodes,
     relative_error,
 )
+
+from helpers import lagrange_coeff
 
 
 def poly_eval(coeffs, x):

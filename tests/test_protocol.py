@@ -1,10 +1,15 @@
+import hashlib
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from svafd import protocol
-from svafd.filtration import Topology, build_topology
+from svafd import protocol, threats
+from svafd.filtration import Topology, build_topology, intimacy_list, select_group
 from svafd.protocol import (
     AGGREGATED_SHARE,
+    AUX_PROOF,
     DECODED_RESULT,
     HASHED_CAL,
     KEY_SHARE,
@@ -13,6 +18,8 @@ from svafd.protocol import (
     SERVER_VISIBLE_KINDS,
     SHARE,
     InfeasibleConfig,
+    Message,
+    MessageBus,
     RoundConfig,
     membership_update,
     run_campaign,
@@ -242,3 +249,137 @@ class TestSingleGroupAndCampaign:
         # the circle radius is a knob: the error target must hold at 1.15 too
         table = run_campaign([20], [3], [3], reps=2, seed=2, d=6, batch=8, radius=1.15)
         assert table[(20, 3, 3)] <= -6
+
+
+def _reference_feed(h, obj):
+    if isinstance(obj, np.ndarray):
+        h.update(b"A")
+        h.update(str(obj.dtype).encode())
+        h.update(str(obj.shape).encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, dict):
+        h.update(b"D")
+        for key in sorted(obj, key=repr):
+            _reference_feed(h, key)
+            _reference_feed(h, obj[key])
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"L")
+        for item in obj:
+            _reference_feed(h, item)
+    elif hasattr(obj, "__dataclass_fields__"):
+        h.update(type(obj).__name__.encode())
+        for f in fields(obj):
+            _reference_feed(h, getattr(obj, f.name))
+    else:
+        h.update(repr(obj).encode())
+
+
+def reference_export_jsonl(transcript) -> str:
+    """The transcript format spelled out plainly: one json.dumps per record
+    and a fresh digest of every message's payload."""
+    lines = []
+    for m in transcript.messages:
+        h = hashlib.sha256()
+        _reference_feed(h, m.payload)
+        record = {"seq": m.seq, "stage": m.stage, "kind": m.kind, "from": m.sender, "to": m.receiver,
+                  "payload_sha256": h.hexdigest()}
+        lines.append(json.dumps(record, sort_keys=True))
+    for leader in sorted(transcript.group_results):
+        res = transcript.group_results[leader]
+        record = {
+            "kind": "group_result",
+            "leader": leader,
+            "members": list(res.members),
+            "live_members": list(res.live_members),
+            "verdict": res.verdict,
+            "rel_error": None if res.rel_error is None else repr(res.rel_error),
+            "probe_distance": res.probe_distance,
+        }
+        lines.append(json.dumps(record, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def tampered_round(kind, **overrides):
+    """A round with stragglers 2 and 7 (n=10, r=4 unless overridden) and the
+    given tamper kind aimed at group 4; kind=None runs honestly."""
+    cfg = small_cfg(**{"n": 10, "r": 4, "straggler_ids": frozenset({2, 7}), **overrides})
+    tamper = None
+    if kind is not None:
+        tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3}), leader=4)
+    return cfg, run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=tamper)
+
+
+class TestRoundHotPath:
+    def test_groups_match_pairwise_filtration(self):
+        cfg, transcript = tampered_round(None, n=16, r=5)
+        # the fingerprints every client broadcast, scored pair by pair
+        hashed = {m.sender: m.payload for m in transcript.messages_of(kind=HASHED_CAL)}
+        want = {cid: select_group(intimacy_list(cid, hashed), cfg.r) for cid in range(cfg.n)}
+        assert transcript.topology.groups == want
+
+    @pytest.mark.parametrize("kind", [None, "share_tamper", "weight_tamper", "server_tamper"])
+    def test_export_matches_reference_exporter(self, kind):
+        _, transcript = tampered_round(kind)
+        assert 4 in transcript.group_results
+        assert transcript.export_jsonl() == reference_export_jsonl(transcript)
+
+    def test_export_after_append_and_in_place_change(self):
+        _, transcript = tampered_round("share_tamper")
+        first = transcript.export_jsonl()
+        last = transcript.messages[-1]
+        transcript.messages.append(
+            Message(seq=last.seq + 1, stage="verification", kind="decoded_result", sender=SERVER,
+                    receiver=0, payload={"leader": 0, "note": np.arange(3.0)})
+        )
+        second = transcript.export_jsonl()
+        assert second == reference_export_jsonl(transcript) != first
+        # a payload changed in place between exports gets a fresh digest
+        transcript.messages[0].payload.matrix[0, 0] += 1.0
+        assert transcript.export_jsonl() == reference_export_jsonl(transcript) != second
+
+    def test_every_group_message_taken_once_by_its_group_in_order(self, monkeypatch):
+        takes = []
+        inner = MessageBus.take
+
+        def recording_take(bus, receiver, kind, leader=None):
+            out = inner(bus, receiver, kind, leader)
+            takes.append((receiver, kind, leader, out))
+            return out
+
+        monkeypatch.setattr(MessageBus, "take", recording_take)
+        cfg, transcript = tampered_round(None, n=12, r=6)
+        groups = transcript.topology.groups
+        assert any(set(groups[a]) & set(groups[b]) for a in groups for b in groups if a < b)
+        taken = {}
+        for receiver, kind, leader, out in takes:
+            assert [m.seq for m in out] == sorted(m.seq for m in out)
+            for m in out:
+                assert (m.receiver, m.kind, m.payload["leader"]) == (receiver, kind, leader)
+                taken[m.seq] = taken.get(m.seq, 0) + 1
+        routed = [m for m in transcript.messages if m.kind in (SHARE, AGGREGATED_SHARE, AUX_PROOF)]
+        # a straggler never collects the shares addressed to it
+        offline = {m.seq for m in routed if m.receiver in cfg.straggler_ids}
+        assert offline and all(m.kind == SHARE for m in routed if m.seq in offline)
+        online = [m for m in routed if m.seq not in offline]
+        assert {m.kind for m in online} == {SHARE, AGGREGATED_SHARE, AUX_PROOF}
+        assert all(taken.get(m.seq) == 1 for m in online)
+        assert set(taken) == {m.seq for m in online}
+
+
+class TestMarginWarning:
+    def test_round_results_carry_the_verdict_flag(self):
+        _, quiet = run_small()
+        assert not any(res.margin_warning for res in quiet.group_results.values())
+        with pytest.warns(RuntimeWarning):
+            _, thin = run_small(q=5)  # a 10^-10 error budget is thin at scale 10^(2q)
+        assert all(res.margin_warning for res in thin.group_results.values())
+        assert "margin" not in thin.export_jsonl()
+
+    def test_single_group_carries_the_verdict_flag(self):
+        from svafd.sigcrypto import MockBackend
+
+        res = run_single_group(6, 2, 1, grain="class", d=4, seed=1, backend=MockBackend())
+        assert res.verdict == "accept" and not res.margin_warning
+        with pytest.warns(RuntimeWarning):
+            res = run_single_group(6, 2, 1, grain="class", d=4, q=5, seed=1, backend=MockBackend())
+        assert res.margin_warning

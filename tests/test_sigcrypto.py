@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from svafd.coding import (
     split,
 )
 from svafd.sigcrypto import (
+    _INT_GUARD,
     AuxProofs,
     IncompleteAux,
     MockBackend,
@@ -21,7 +24,6 @@ from svafd.sigcrypto import (
     PrivateKey,
     Proof,
     aggregate_proof,
-    conv,
     digest,
     gen_key,
     get_backend,
@@ -32,6 +34,14 @@ from svafd.sigcrypto import (
 )
 
 MOCK = MockBackend()
+
+
+def conv(x: float, q: int) -> int:
+    """Precision conversion by floor: floor(x * 10^q) as an exact integer."""
+    scaled = x * 10.0**q
+    if abs(scaled) >= _INT_GUARD:
+        raise Overflow(f"|{x}| * 10^{q} exceeds the integer guard")
+    return math.floor(scaled)
 
 
 class TestConv:
