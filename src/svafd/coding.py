@@ -256,8 +256,8 @@ def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) ->
     """Interpolate the aggregated evaluations back to the first K anchors and
     return the real parts, one tensor per plaintext slice.
 
-    aggregates: iterable of (evaluation-point index, AggregatedShare or
-    payload array). Needs at least deg_f*(k+t-1)+1 of them.
+    aggregates: iterable of (evaluation-point index, payload array). Needs
+    at least deg_f*(k+t-1)+1 of them.
     """
     items = []
     seen = set()
@@ -265,8 +265,7 @@ def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) ->
         if idx in seen:
             raise ValueError(f"duplicate evaluation point index {idx}")
         seen.add(idx)
-        payload = agg.payload if isinstance(agg, AggregatedShare) else np.asarray(agg)
-        items.append((nodes.alphas[idx], payload))
+        items.append((nodes.alphas[idx], np.asarray(agg)))
     threshold = deg_f * (k + t - 1) + 1
     if len(items) < threshold:
         raise InsufficientShares(f"{len(items)} aggregates < threshold {threshold}")

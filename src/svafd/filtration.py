@@ -59,14 +59,15 @@ def compute_cal(dataset_logits) -> CalMatrix:
     items = list(dataset_logits)
     if not items:
         raise EmptyDataset("cannot average an empty sample set")
-    d = len(np.asarray(items[0][1]))
+    labels = np.array([label for label, _ in items], dtype=np.int64)
+    rows = np.array([row for _, row in items], dtype=float)
+    d = rows.shape[1]
+    outside = (labels < 1) | (labels > d)
+    if outside.any():
+        raise ValueError(f"label {labels[outside][0]} outside [1, {d}]")
     sums = np.zeros((d, d))
-    counts = np.zeros(d, dtype=np.int64)
-    for label, row in items:
-        if not 1 <= label <= d:
-            raise ValueError(f"label {label} outside [1, {d}]")
-        sums[label - 1] += np.asarray(row, dtype=float)
-        counts[label - 1] += 1
+    np.add.at(sums, labels - 1, rows)  # unbuffered: adds the rows in sample order
+    counts = np.bincount(labels - 1, minlength=d)
     means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
     return CalMatrix(per_class_mean_logits=means, class_counts=counts)
 

@@ -66,19 +66,17 @@ def make_nodes(
     k: int,
     t: int,
     radius: float = 1.0,
-    avoid_collisions: bool = True,
 ) -> InterpolationNodes:
     """Place group_size evaluation points and k+t anchor points equally
     spaced on the circle of the given radius.
 
     Evaluation points are group_size-th roots of unity, anchors are
     (k+t)-th roots of unity, both scaled by radius. When the two sets
-    overlap and avoid_collisions is set, the evaluation set is rotated by
-    half its angular spacing; if the rotated set still collides (possible
-    when the two spacings share structure), it is instead rotated by half
-    the spacing of the merged grid, which can never land on an anchor.
-    Raises NodeCollision when collisions remain (or immediately when
-    avoid_collisions is off and the raw sets overlap).
+    overlap, the evaluation set is rotated by half its angular spacing; if
+    the rotated set still collides (possible when the two spacings share
+    structure), it is instead rotated by half the spacing of the merged
+    grid, which can never land on an anchor. Raises NodeCollision when
+    collisions remain.
     """
     if group_size < 1 or k < 1 or t < 0:
         raise ValueError("need group_size >= 1, k >= 1, t >= 0")
@@ -88,7 +86,7 @@ def make_nodes(
     alphas = radius * np.exp(-2j * np.pi * np.arange(group_size) / group_size)
     betas = radius * np.exp(-2j * np.pi * np.arange(m) / m)
     tol = _COLLISION_RTOL * radius
-    if _min_cross_distance(alphas, betas) < tol and avoid_collisions:
+    if _min_cross_distance(alphas, betas) < tol:
         rotated = alphas * np.exp(-1j * np.pi / group_size)
         if _min_cross_distance(rotated, betas) < tol:
             rotated = alphas * np.exp(-1j * np.pi / (group_size * m))

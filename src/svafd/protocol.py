@@ -6,10 +6,13 @@ protocol is written once, as three stages over a `_Group` state: `_prepare`
 (the plan; members quantize, split, blind and sign), `_exchange` (encode,
 deliver shares, aggregate) and `_conclude` (decode, proof, deblind, verify;
 "insufficient" below the interpolation threshold). The threats module's
-tampers enter at the share, the weight view and the decoded slices. A sink
-carries the deliveries: `run_round` drives the stages with `_BusSink`, which
-records every output as a bus message; `run_single_group` and the tests use
-the direct `_Inboxes`.
+tampers enter at the share, the weight view and the decoded slices.
+`_exchange` and `_conclude` send and take the group's messages themselves,
+through a bus's `send` and `take`: `run_round` passes its `MessageBus`, which
+records every message in the transcript; `run_single_group` and the tests
+pass the direct `_Inboxes`, which files the same messages in the same inboxes
+and keeps no transcript. On both, a member's share to itself stays local, and
+the server decodes and proves from its own inbox only.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
@@ -22,6 +25,7 @@ import functools
 import hashlib
 import json
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
@@ -280,6 +284,22 @@ class MessageBus:
         return self.inboxes.pop((receiver, kind, leader), [])
 
 
+_Delivery = namedtuple("_Delivery", "sender payload")
+
+
+class _Inboxes(MessageBus):
+    """Direct delivery for one group: the bus's inboxes and `take`, but
+    `send` files only a (sender, payload) record, with no sequence number
+    and no transcript."""
+
+    def __init__(self):
+        self.inboxes = {}
+
+    def send(self, kind: str, sender: int, receiver: int, payload) -> None:
+        leader = payload.get("leader") if isinstance(payload, dict) else None
+        self.inboxes.setdefault((receiver, kind, leader), []).append(_Delivery(sender, payload))
+
+
 class PerfRecorder:
     """Wall-time samples per (role, stage), with operation counts."""
 
@@ -358,7 +378,7 @@ class _Group:
     weight_ints: dict
     weight_sigs: dict | None
     bundles: dict = field(default_factory=dict)  # live member -> blinded SplitBundle
-    keys: dict = field(default_factory=dict)
+    keys: dict = field(default_factory=dict)  # member -> PrivateKey
     logits_sigs: dict = field(default_factory=dict)
 
 
@@ -368,8 +388,9 @@ def _prepare(
     """Stage 1, member preparation: the leader's plan and weight signatures,
     then each live member quantizes, splits, blinds and signs its logits.
 
-    inputs(member) returns (raw logits, member rng). A member's key is
-    keys[member], or is drawn from its rng after blinding when keys is None.
+    inputs(member) returns (raw logits, member rng). Keys come from keys,
+    which maps every member to its key, or are drawn from each live member's
+    rng after blinding when keys is None.
     """
     with perf.timer("leader", "preprocess"):
         plan = coding.make_group_plan(
@@ -382,7 +403,7 @@ def _prepare(
         with perf.timer("leader", "auxiliary", count=len(plan.members)):
             weight_sigs = dict(zip(plan.members, sigcrypto.sign_weights(list(weight_ints.values()), backend)))
     tamper = _resolve_tamper(tamper, leader, live)
-    group = _Group(cfg, plan, live, backend, perf, tamper, weight_ints, weight_sigs)
+    group = _Group(cfg, plan, live, backend, perf, tamper, weight_ints, weight_sigs, keys=keys or {})
     for member in sorted(live):
         raw, member_rng = inputs(member)
         with perf.timer("follower", "preprocess"):
@@ -391,24 +412,40 @@ def _prepare(
             bundle = coding.blind(bundle, cfg.t, cfg.sigma, cfg.theta, member_rng)
         group.bundles[member] = bundle
         if backend is not None:
-            key = keys[member] if keys is not None else sigcrypto.gen_key(backend, member_rng)
-            group.keys[member] = key
+            if keys is None:
+                group.keys[member] = sigcrypto.gen_key(backend, member_rng)
             with perf.timer("follower", "auxiliary", count=cfg.k):
                 group.logits_sigs[member] = tuple(
-                    sigcrypto.sign_logits(sigcrypto.digest(bundle), key, cfg.q, backend)
+                    sigcrypto.sign_logits(sigcrypto.digest(bundle), group.keys[member], cfg.q, backend)
                 )
     return group
 
 
-def _exchange(group: _Group, sink) -> None:
-    """Stage 2, share exchange: every live member encodes its bundle and
-    delivers one share per member; every live member then aggregates what it
-    received under the live-member weight view and delivers the aggregate."""
-    plan, tamper, perf = group.plan, group.tamper, group.perf
+def _exchange(group: _Group, bus) -> None:
+    """Stage 2, share exchange: the leader sends invites, the plan and the
+    server's roster; every member sends its key share and signatures, and
+    every live member encodes its bundle and sends one share per member,
+    keeping its share to itself. The leader then sends the weight
+    signatures, and every live member aggregates what it received under the
+    live-member weight view and sends the aggregate to the server."""
+    cfg, plan, tamper, perf = group.cfg, group.plan, group.tamper, group.perf
+    leader, send = plan.leader, bus.send
     kind = tamper.kind if tamper is not None else None
-    sink.opened(group)
+    for member in plan.members:
+        send(GROUP_INVITE, leader, member, {"leader": leader})
+    distribution = dict(lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members)
+    for member in plan.members:
+        send(PLAN_DISTRIBUTION, leader, member, distribution)
+    # roster registration: the server learns who maps to which evaluation
+    # point, never the weights or the blind
+    roster = dict(leader=leader, members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
+    send(PLAN_DISTRIBUTION, leader, SERVER, roster)
+    own = {}
     for member in sorted(plan.members):
-        sink.member(group, member)
+        if member in group.keys:
+            send(KEY_SHARE, member, leader, {"upsilon": group.keys[member].upsilon})
+        if member in group.logits_sigs:
+            send(AUX_PROOF, member, SERVER, {"leader": leader, "logits_sigs": group.logits_sigs[member]})
         if member not in group.bundles:
             continue
         with perf.timer("follower", "encode"):
@@ -418,27 +455,40 @@ def _exchange(group: _Group, sink) -> None:
                 payload = share.payload.copy()
                 payload[tamper.entry] += tamper.delta
                 share = coding.EncodedShare(member, share.receiver, payload)
-            sink.share(group, share)
-    sink.weights(group)
-    f_coeffs = coding.monomial(group.cfg.f_degree)
+            if share.receiver == member:
+                own[member] = share
+            else:
+                send(SHARE, member, share.receiver, {"leader": leader, "share": share})
+    send(AUX_PROOF, leader, SERVER, {"leader": leader, "weight_sigs": group.weight_sigs})
+    f_coeffs = coding.monomial(cfg.f_degree)
     view = {m: plan.blinded_weight_of(m) for m in group.live}
     for member in sorted(group.live):
-        received = sink.received(group, member)
+        received = [own[member]] + [msg.payload["share"] for msg in bus.take(member, SHARE, leader)]
         member_view = view
         if kind == "weight_tamper" and tamper.member == member:
             target = tamper.sender if tamper.sender in view else group.live[0]
             member_view = {**view, target: view[target] + tamper.delta * plan.blind_factor}
         with perf.timer("follower", "aggregate"):
             agg = coding.local_aggregate(received, member_view, f_coeffs, holder=member)
-        sink.aggregate(group, member, agg)
+        index = plan.members.index(member)
+        payload = dict(leader=leader, alpha_index=index, payload=agg.payload, contributors=group.live)
+        send(AGGREGATED_SHARE, member, SERVER, payload)
 
 
-def _conclude(group: _Group, sink) -> GroupResult:
-    """Stage 3, conclusion: the server decodes what reached it and folds the
-    signatures into one proof; the leader deblinds and verifies. A group with
-    fewer aggregates than the interpolation threshold is "insufficient"."""
+def _conclude(group: _Group, bus) -> GroupResult:
+    """Stage 3, conclusion: the server decodes the aggregates in its inbox,
+    folds the signatures in its inbox into one proof and sends both to the
+    leader, who deblinds and verifies. A group with fewer aggregates than
+    the interpolation threshold is "insufficient"."""
     cfg, plan, live, backend, perf = group.cfg, group.plan, group.live, group.backend, group.perf
-    points, logits_sigs = sink.collect(group)
+    aggregates = bus.take(SERVER, AGGREGATED_SHARE, plan.leader)
+    points = [(m.payload["alpha_index"], m.payload["payload"]) for m in aggregates]
+    logits_sigs, weight_sigs = {}, None
+    for m in bus.take(SERVER, AUX_PROOF, plan.leader):
+        if "logits_sigs" in m.payload:
+            logits_sigs[m.sender] = m.payload["logits_sigs"]
+        else:
+            weight_sigs = m.payload["weight_sigs"]
     f_coeffs = coding.monomial(cfg.f_degree)
     weights_of = dict(zip(plan.members, plan.weights))
     oracle = _oracle_teacher(group.bundles, weights_of, f_coeffs, cfg.grain, cfg.k) if group.bundles else None
@@ -453,10 +503,10 @@ def _conclude(group: _Group, sink) -> GroupResult:
         decoded[0][group.tamper.entry] += group.tamper.delta
     proof = None
     if backend is not None:
-        aux = sigcrypto.AuxProofs({z: logits_sigs[z] for z in live}, {z: group.weight_sigs[z] for z in live})
+        aux = sigcrypto.AuxProofs({z: logits_sigs[z] for z in live}, {z: weight_sigs[z] for z in live})
         with perf.timer("server", "proof", count=len(live)):
             proof = sigcrypto.aggregate_proof(aux, backend)
-    sink.decoded(group, decoded, proof)
+    bus.send(DECODED_RESULT, SERVER, plan.leader, {"decoded": decoded, "proof": proof})
 
     result.teacher = coding.deblind_and_join(decoded, plan.blind_factor, cfg.grain)
     result.verdict = "accept"
@@ -470,97 +520,6 @@ def _conclude(group: _Group, sink) -> GroupResult:
     if float(np.linalg.norm(oracle)) != 0.0:
         result.rel_error = relative_error(result.teacher, oracle)
     return result
-
-
-class _Inboxes:
-    """Direct delivery for one group: shares are filed per receiver, and the
-    aggregates and the proof stay here for the conclusion and the caller."""
-
-    def __init__(self):
-        self.shares: dict[int, list] = {}
-        self.aggregates: list = []  # (evaluation-point index, AggregatedShare), in delivery order
-        self.proof = None
-
-    def opened(self, group):
-        pass
-
-    def member(self, group, member):
-        pass
-
-    def share(self, group, share):
-        self.shares.setdefault(share.receiver, []).append(share)
-
-    def weights(self, group):
-        pass
-
-    def received(self, group, member):
-        return self.shares.get(member, [])
-
-    def aggregate(self, group, member, agg):
-        self.aggregates.append((group.plan.members.index(member), agg))
-
-    def collect(self, group):
-        return self.aggregates, group.logits_sigs
-
-    def decoded(self, group, decoded, proof):
-        self.proof = proof
-
-
-class _BusSink(_Inboxes):
-    """Delivery over the bus: every stage output becomes a message, and the
-    server reads aggregates and signatures only from its inbox. A member's
-    share to itself never leaves it."""
-
-    def __init__(self, bus: MessageBus, keys: dict):
-        super().__init__()
-        self.bus = bus
-        self.keys = keys
-
-    def opened(self, group):
-        plan, cfg, send = group.plan, group.cfg, self.bus.send
-        for member in plan.members:
-            send(GROUP_INVITE, plan.leader, member, {"leader": plan.leader})
-        distribution = dict(lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members)
-        for member in plan.members:
-            send(PLAN_DISTRIBUTION, plan.leader, member, distribution)
-        # roster registration: the server learns who maps to which
-        # evaluation point, never the weights or the blind
-        roster = dict(leader=plan.leader, members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
-        send(PLAN_DISTRIBUTION, plan.leader, SERVER, roster)
-
-    def member(self, group, member):
-        leader, sigs = group.plan.leader, group.logits_sigs
-        self.bus.send(KEY_SHARE, member, leader, {"upsilon": self.keys[member].upsilon})
-        if member in sigs:
-            self.bus.send(AUX_PROOF, member, SERVER, {"leader": leader, "logits_sigs": sigs[member]})
-
-    def share(self, group, share):
-        if share.receiver == share.sender:
-            super().share(group, share)
-        else:
-            self.bus.send(SHARE, share.sender, share.receiver, {"leader": group.plan.leader, "share": share})
-
-    def weights(self, group):
-        leader = group.plan.leader
-        self.bus.send(AUX_PROOF, leader, SERVER, {"leader": leader, "weight_sigs": group.weight_sigs})
-
-    def received(self, group, member):
-        own = self.shares.pop(member, [])  # this group's share to itself; the sink serves every group
-        return own + [msg.payload["share"] for msg in self.bus.take(member, SHARE, group.plan.leader)]
-
-    def aggregate(self, group, member, agg):
-        index = group.plan.members.index(member)
-        payload = dict(leader=group.plan.leader, alpha_index=index, payload=agg.payload, contributors=group.live)
-        self.bus.send(AGGREGATED_SHARE, member, SERVER, payload)
-
-    def collect(self, group):
-        leader = group.plan.leader
-        aggs, aux = self.bus.take(SERVER, AGGREGATED_SHARE, leader), self.bus.take(SERVER, AUX_PROOF, leader)
-        points = [(m.payload["alpha_index"], m.payload["payload"]) for m in aggs]
-        return points, {m.sender: m.payload["logits_sigs"] for m in aux if "logits_sigs" in m.payload}
-
-    def decoded(self, group, decoded, proof):
-        self.bus.send(DECODED_RESULT, SERVER, group.plan.leader, {"decoded": decoded, "proof": proof})
 
 
 def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript:
@@ -597,7 +556,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
 
     # --- aggregation, then verification in a second pass over leaders ---
     keys = {cid: sigcrypto.gen_key(backend, np.random.default_rng([cfg.seed, 4, cid])) for cid in clients}
-    sink, perf, runs = _BusSink(bus, keys), PerfRecorder(), []
+    perf, runs = PerfRecorder(), []
     for leader in clients:
         roster = list(groups[leader]) + ([leader] if cfg.leader_in_group else [])
         group = _prepare(
@@ -605,10 +564,10 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
             lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])),
             backend, perf, stragglers=cfg.straggler_ids, keys=keys, tamper=tamper,
         )
-        _exchange(group, sink)
+        _exchange(group, bus)
         runs.append(group)
     for group in runs:
-        transcript.group_results[group.plan.leader] = _conclude(group, sink)
+        transcript.group_results[group.plan.leader] = _conclude(group, bus)
     return transcript
 
 
@@ -647,9 +606,9 @@ def run_single_group(
 
     perf = perf if perf is not None else PerfRecorder()
     group = _prepare(cfg, r, range(r), rng, inputs, backend, perf)
-    sink = _Inboxes()
-    _exchange(group, sink)
-    return _conclude(group, sink)
+    inboxes = _Inboxes()
+    _exchange(group, inboxes)
+    return _conclude(group, inboxes)
 
 
 def run_campaign(

@@ -34,6 +34,9 @@ _INT_GUARD = 2**62
 # coding-error budget assumed by the verification margin preflight
 DEFAULT_RE_BOUND = 1e-10
 
+# how far from the expected exponent a rejected proof is probed (diagnostic)
+PROBE_DELTA = 2
+
 
 def digest(bundle: SplitBundle) -> list[float]:
     """Element sum of each plaintext slice (computed on the quantized,
@@ -170,7 +173,6 @@ def verify(
     k: int,
     q: int,
     backend,
-    probe_delta: int = 2,
     re_bound: float = DEFAULT_RE_BOUND,
 ) -> Verdict:
     """Check the proof against the deblinded teacher knowledge.
@@ -181,7 +183,7 @@ def verify(
     the coding error times 10^(2q) below one-half; a margin warning fires
     when the configured error budget leaves less than a quarter unit.
 
-    On mismatch, nearby exponents within +/- probe_delta are probed and the
+    On mismatch, nearby exponents within +/- PROBE_DELTA are probed and the
     signed distance of a hit is reported (diagnostic only, never accepted).
     """
     teacher = np.asarray(teacher)
@@ -202,7 +204,7 @@ def verify(
     accepted = backend.gt_pow(expected) == proof.pi_c
     probe = None
     if not accepted:
-        for dd in range(1, probe_delta + 1):
+        for dd in range(1, PROBE_DELTA + 1):
             for signed in (dd, -dd):
                 if backend.gt_pow((expected + signed) % backend.order) == proof.pi_c:
                     probe = signed

@@ -15,7 +15,7 @@ from svafd.filtration import (
     lsh_project,
     select_group,
 )
-from svafd.protocol import RoundConfig
+from svafd.protocol import AGGREGATED_SHARE, SERVER, RoundConfig
 from svafd.threats import AttackSpec, poison_samples
 from svafd.workload import dirichlet_population, gen_logits
 
@@ -34,15 +34,15 @@ def lagrange_coeff(nodes, j: int, x: complex) -> complex:
 def exchanged_group(rng, leader, cfg, low, high, backend=None, weights=None):
     """Preparation and share exchange for members 0..r-1 over direct inboxes;
     every member draws uniform [low, high) logits from rng. Returns the
-    group state and the sink that holds its aggregates."""
+    group state and the inboxes that hold the server's aggregates."""
     rows = cfg.d if cfg.grain == "class" else cfg.o
     group = protocol._prepare(
         cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, (rows, cfg.d)), rng), backend,
         protocol.PerfRecorder(), weights=weights,
     )
-    sink = protocol._Inboxes()
-    protocol._exchange(group, sink)
-    return group, sink
+    inboxes = protocol._Inboxes()
+    protocol._exchange(group, inboxes)
+    return group, inboxes
 
 
 def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0, theta=6.0, q=3, drop=()):
@@ -51,11 +51,13 @@ def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0
     omega = d if grain == "class" else omega
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, grain=grain, f_degree=deg_f, d=d,
                       o=omega * k)
-    group, sink = exchanged_group(np.random.default_rng(seed), 999, cfg, -10, 10)
-    sink.aggregates = [(x, agg) for x, agg in sink.aggregates if x not in drop]
-    res = protocol._conclude(group, sink)
+    group, inboxes = exchanged_group(np.random.default_rng(seed), 999, cfg, -10, 10)
+    kept = [m for m in inboxes.take(SERVER, AGGREGATED_SHARE, 999) if m.payload["alpha_index"] not in drop]
+    for m in kept:
+        inboxes.send(AGGREGATED_SHARE, m.sender, SERVER, m.payload)
+    res = protocol._conclude(group, inboxes)
     if res.verdict == "insufficient":
-        raise InsufficientShares(f"{len(sink.aggregates)} aggregates left")
+        raise InsufficientShares(f"{len(kept)} aggregates left")
     return res.teacher, res.oracle
 
 

@@ -16,7 +16,14 @@ from svafd.cli import cmd_single_round, cmd_table_error, cmd_timing
 from svafd.coding import InsufficientShares, check_achievable, decode, noise_coeff_submatrix
 from svafd.config import ExperimentConfig
 from svafd.numerics import make_nodes, relative_error
-from svafd.protocol import RoundConfig, _oracle_teacher, run_round, workload_provider
+from svafd.protocol import (
+    AGGREGATED_SHARE,
+    SERVER,
+    RoundConfig,
+    _oracle_teacher,
+    run_round,
+    workload_provider,
+)
 from svafd.threats import AttackSpec, inject_tamper, score_filtration
 
 
@@ -106,10 +113,11 @@ def test_criterion_3_homomorphic_aggregation():
 def _aggregated_group(seed, r, k, t, d=6, q=3, sigma=1e3):
     """Everything up to decoding for one class-grain group."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, d=d)
-    group, sink = exchanged_group(np.random.default_rng(seed), r, cfg, -10, 10)
+    group, inboxes = exchanged_group(np.random.default_rng(seed), r, cfg, -10, 10)
     plan = group.plan
     oracle = _oracle_teacher(group.bundles, dict(zip(plan.members, plan.weights)), [0.0, 1.0], "class", k)
-    return plan, sink.aggregates, oracle
+    received = inboxes.take(SERVER, AGGREGATED_SHARE, r)
+    return plan, [(m.payload["alpha_index"], m.payload["payload"]) for m in received], oracle
 
 
 @criterion(4, "dropout resilience at (r=100, k=10, t=10)")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from svafd.coding import (
-    AggregatedShare,
     EncodedShare,
     IndivisibleO,
     InsufficientShares,
@@ -200,7 +199,7 @@ class TestDecode:
     def test_single_share_degree_zero(self):
         nodes = make_nodes(3, 1, 0)
         payload = np.array([[1.5 + 0.25j]])
-        [out] = decode([(0, AggregatedShare(0, payload))], nodes, 1, 0, 1)
+        [out] = decode([(0, payload)], nodes, 1, 0, 1)
         np.testing.assert_allclose(out, [[1.5]])
 
     def test_unblinded_chain_reproduces_weighted_slices(self):
@@ -218,7 +217,7 @@ class TestDecode:
             for sh in encode(bundles[z], plan, sender=z):
                 inbox[sh.receiver].append(sh)
         view = {z: plan.blinded_weights[z] for z in range(r)}
-        aggs = [(x, local_aggregate(inbox[x], view, monomial(1), holder=x)) for x in range(r)]
+        aggs = [(x, local_aggregate(inbox[x], view, monomial(1), holder=x).payload) for x in range(r)]
         decoded = decode(aggs, plan.nodes, k, 0, 1)
         for slot in range(k):
             want = sum(plan.blinded_weights[z] * bundles[z].slices[slot] for z in range(r))
@@ -226,7 +225,7 @@ class TestDecode:
 
     def test_insufficient_shares(self):
         nodes = make_nodes(5, 2, 1)
-        aggs = [(i, AggregatedShare(i, np.zeros((1, 1), dtype=complex))) for i in range(2)]
+        aggs = [(i, np.zeros((1, 1), dtype=complex)) for i in range(2)]
         with pytest.raises(InsufficientShares):
             decode(aggs, nodes, 2, 1, 1)  # threshold 3
 

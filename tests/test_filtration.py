@@ -15,6 +15,7 @@ from svafd.filtration import (
     lsh_project,
     select_group,
 )
+from svafd.workload import dirichlet_population, gen_logits
 
 
 class TestComputeCal:
@@ -45,6 +46,33 @@ class TestComputeCal:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
             compute_cal([(0, [1.0, 2.0])])
+
+    @staticmethod
+    def loop_cal(items):
+        """Per-sample reference: the rows of each class added in sample order."""
+        d = len(items[0][1])
+        sums, counts = np.zeros((d, d)), np.zeros(d, dtype=np.int64)
+        for label, row in items:
+            sums[label - 1] += np.asarray(row, dtype=float)
+            counts[label - 1] += 1
+        return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0), counts
+
+    @pytest.mark.parametrize("case", ["skewed", "absent_class", "single_sample"])
+    def test_bytes_match_per_sample_loop(self, case):
+        d = 10
+        if case == "single_sample":
+            samples = [(3, np.random.default_rng(5).normal(size=d) * 1e3)]
+        else:
+            [profile] = dirichlet_population(1, d, 0.1, [9, 7], samples=400)
+            samples, _ = gen_logits(profile, seed=[9, 8])
+            if case == "absent_class":
+                samples = [(y, row) for y, row in samples if y != 4]
+        means, counts = self.loop_cal(samples)
+        cal = compute_cal(samples)
+        assert cal.per_class_mean_logits.tobytes() == means.tobytes()
+        assert cal.class_counts.dtype == counts.dtype and list(cal.class_counts) == list(counts)
+        if case == "absent_class":
+            assert counts[3] == 0 and not cal.present[3]
 
 
 class TestLshProject:

@@ -3,6 +3,7 @@ import pytest
 
 from svafd.numerics import (
     DuplicateNode,
+    InterpolationNodes,
     NodeCollision,
     ZeroTruth,
     interpolate,
@@ -24,8 +25,10 @@ def poly_eval(coeffs, x):
 
 class TestMakeNodes:
     def test_raw_roots_of_unity_collide(self):
+        alphas = np.exp(-2j * np.pi * np.arange(4) / 4)
+        betas = np.exp(-2j * np.pi * np.arange(2) / 2)
         with pytest.raises(NodeCollision):
-            make_nodes(4, 1, 1, radius=1.0, avoid_collisions=False)
+            InterpolationNodes(alphas=alphas, betas=betas, radius=1.0)
 
     def test_collision_avoidance_rotates_alphas(self):
         nodes = make_nodes(4, 1, 1, radius=1.0)

@@ -413,3 +413,43 @@ class TestStageTiming:
         rec = PerfRecorder()
         run_single_group(self.r, self.k, self.t, grain="class", d=4, seed=2, perf=rec)
         assert rec.counts == self.UNSIGNED
+
+
+class TestDirectAndBusDelivery:
+    """One group driven through the stages over the direct inboxes and over a
+    fresh bus reaches the same result from the same server inbox."""
+
+    LEADER = 6
+
+    def drive(self, bus, kind):
+        from svafd.sigcrypto import MockBackend
+
+        cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain="class", backend="mock")
+        rng = np.random.default_rng(11)
+        tamper = None
+        if kind is not None:
+            tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3}), leader=self.LEADER)
+        group = protocol._prepare(
+            cfg, self.LEADER, range(cfg.r), rng, lambda z: (rng.uniform(-10, 10, (cfg.d, cfg.d)), rng),
+            MockBackend(), PerfRecorder(), tamper=tamper,
+        )
+        protocol._exchange(group, bus)
+        server = [
+            (m.sender, m.payload["alpha_index"], m.payload["payload"].tobytes())
+            for m in bus.inboxes[(SERVER, AGGREGATED_SHARE, self.LEADER)]
+        ]
+        return protocol._conclude(group, bus), server
+
+    @pytest.mark.parametrize("kind", [None, "share_tamper", "weight_tamper", "server_tamper"])
+    def test_same_group_over_both_deliveries(self, kind):
+        inboxes = protocol._Inboxes()
+        bus = MessageBus(protocol.RoundTranscript(config_digest=""))
+        direct, direct_server = self.drive(inboxes, kind)
+        routed, routed_server = self.drive(bus, kind)
+        assert direct.verdict == routed.verdict == ("accept" if kind is None else "reject")
+        assert direct.teacher.tobytes() == routed.teacher.tobytes()
+        assert (direct.rel_error, direct.probe_distance) == (routed.rel_error, routed.probe_distance)
+        assert len(direct_server) == 6 and direct_server == routed_server
+        assert not hasattr(inboxes, "transcript")
+        shares = bus.transcript.messages_of(kind=SHARE)
+        assert len(shares) == 6 * 5 and all(m.sender != m.receiver for m in shares)

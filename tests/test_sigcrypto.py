@@ -5,7 +5,7 @@ import pytest
 
 from helpers import exchanged_group
 from svafd.coding import quantize, split
-from svafd.protocol import RoundConfig, _conclude
+from svafd.protocol import DECODED_RESULT, RoundConfig, _conclude
 from svafd.sigcrypto import (
     _INT_GUARD,
     AuxProofs,
@@ -219,9 +219,10 @@ class TestProofFolding:
 def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MOCK, sigma=50.0, weights=None):
     """Full pipeline incl. signatures; returns everything verify needs."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, grain=grain, d=d, o=omega * k)
-    group, sink = exchanged_group(np.random.default_rng(seed), 0, cfg, -8, 8, backend, weights)
-    teacher = _conclude(group, sink).teacher
-    return sink.proof, teacher, list(group.weight_ints.values()), [group.keys[z] for z in range(r)], k, q
+    group, inboxes = exchanged_group(np.random.default_rng(seed), 0, cfg, -8, 8, backend, weights)
+    teacher = _conclude(group, inboxes).teacher
+    [decoded] = inboxes.take(0, DECODED_RESULT)
+    return decoded.payload["proof"], teacher, list(group.weight_ints.values()), [group.keys[z] for z in range(r)], k, q
 
 
 class TestVerify:
