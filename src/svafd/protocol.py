@@ -8,11 +8,10 @@ deliver shares, aggregate) and `_conclude` (decode, proof, deblind, verify;
 "insufficient" below the interpolation threshold). The threats module's
 tampers enter at the share, the weight view and the decoded slices.
 `_exchange` and `_conclude` send and take the group's messages themselves,
-through a bus's `send` and `take`: `run_round` passes its `MessageBus`, which
-records every message in the transcript; `run_single_group` and the tests
-pass the direct `_Inboxes`, which files the same messages in the same inboxes
-and keeps no transcript. On both, a member's share to itself stays local, and
-the server decodes and proves from its own inbox only.
+through the `MessageBus`'s `send` and `take`: `run_round` passes the round's
+bus, `run_single_group` and the tests a fresh one over an empty transcript.
+A member's share to itself stays local, and the server decodes and proves
+from its own inbox only.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
@@ -25,7 +24,6 @@ import functools
 import hashlib
 import json
 import time
-from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
@@ -282,22 +280,6 @@ class MessageBus:
         """Remove and return, in send order, the messages of this kind for
         this receiver whose payload names this leader."""
         return self.inboxes.pop((receiver, kind, leader), [])
-
-
-_Delivery = namedtuple("_Delivery", "sender payload")
-
-
-class _Inboxes(MessageBus):
-    """Direct delivery for one group: the bus's inboxes and `take`, but
-    `send` files only a (sender, payload) record, with no sequence number
-    and no transcript."""
-
-    def __init__(self):
-        self.inboxes = {}
-
-    def send(self, kind: str, sender: int, receiver: int, payload) -> None:
-        leader = payload.get("leader") if isinstance(payload, dict) else None
-        self.inboxes.setdefault((receiver, kind, leader), []).append(_Delivery(sender, payload))
 
 
 class PerfRecorder:
@@ -589,9 +571,10 @@ def run_single_group(
     perf: PerfRecorder | None = None,
     logits: dict | None = None,
 ) -> GroupResult:
-    """One group's pipeline without the bus: the relative-error measurement
-    path for campaign cells, and the stage-timing path when a backend is
-    given (signatures, proof and verification included)."""
+    """One group's pipeline outside a round, over a fresh bus: the
+    relative-error measurement path for campaign cells, and the stage-timing
+    path when a backend is given (signatures, proof and verification
+    included)."""
     if backend is not None and f_degree != 1:
         raise ValueError("proof verification covers degree-1 aggregation only")
     rng = np.random.default_rng([seed, r, k, t] if isinstance(seed, int) else seed)
@@ -606,9 +589,9 @@ def run_single_group(
 
     perf = perf if perf is not None else PerfRecorder()
     group = _prepare(cfg, r, range(r), rng, inputs, backend, perf)
-    inboxes = _Inboxes()
-    _exchange(group, inboxes)
-    return _conclude(group, inboxes)
+    bus = MessageBus(RoundTranscript(config_digest=""))
+    _exchange(group, bus)
+    return _conclude(group, bus)
 
 
 def run_campaign(

@@ -1,5 +1,5 @@
 """Shared test fixtures: one group driven through the protocol's staged
-pipeline over direct inboxes, a filtration run under random-logits poisoning,
+pipeline over a fresh bus, a filtration run under random-logits poisoning,
 and the scalar Lagrange basis coefficient used as a reference for the
 vectorized one."""
 
@@ -32,17 +32,17 @@ def lagrange_coeff(nodes, j: int, x: complex) -> complex:
 
 
 def exchanged_group(rng, leader, cfg, low, high, backend=None, weights=None):
-    """Preparation and share exchange for members 0..r-1 over direct inboxes;
+    """Preparation and share exchange for members 0..r-1 over a fresh bus;
     every member draws uniform [low, high) logits from rng. Returns the
-    group state and the inboxes that hold the server's aggregates."""
+    group state and the bus whose inboxes hold the server's aggregates."""
     rows = cfg.d if cfg.grain == "class" else cfg.o
     group = protocol._prepare(
         cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, (rows, cfg.d)), rng), backend,
         protocol.PerfRecorder(), weights=weights,
     )
-    inboxes = protocol._Inboxes()
-    protocol._exchange(group, inboxes)
-    return group, inboxes
+    bus = protocol.MessageBus(protocol.RoundTranscript(config_digest=""))
+    protocol._exchange(group, bus)
+    return group, bus
 
 
 def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0, theta=6.0, q=3, drop=()):
@@ -51,11 +51,11 @@ def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0
     omega = d if grain == "class" else omega
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, grain=grain, f_degree=deg_f, d=d,
                       o=omega * k)
-    group, inboxes = exchanged_group(np.random.default_rng(seed), 999, cfg, -10, 10)
-    kept = [m for m in inboxes.take(SERVER, AGGREGATED_SHARE, 999) if m.payload["alpha_index"] not in drop]
+    group, bus = exchanged_group(np.random.default_rng(seed), 999, cfg, -10, 10)
+    kept = [m for m in bus.take(SERVER, AGGREGATED_SHARE, 999) if m.payload["alpha_index"] not in drop]
     for m in kept:
-        inboxes.send(AGGREGATED_SHARE, m.sender, SERVER, m.payload)
-    res = protocol._conclude(group, inboxes)
+        bus.send(AGGREGATED_SHARE, m.sender, SERVER, m.payload)
+    res = protocol._conclude(group, bus)
     if res.verdict == "insufficient":
         raise InsufficientShares(f"{len(kept)} aggregates left")
     return res.teacher, res.oracle

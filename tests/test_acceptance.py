@@ -113,10 +113,10 @@ def test_criterion_3_homomorphic_aggregation():
 def _aggregated_group(seed, r, k, t, d=6, q=3, sigma=1e3):
     """Everything up to decoding for one class-grain group."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, d=d)
-    group, inboxes = exchanged_group(np.random.default_rng(seed), r, cfg, -10, 10)
+    group, bus = exchanged_group(np.random.default_rng(seed), r, cfg, -10, 10)
     plan = group.plan
     oracle = _oracle_teacher(group.bundles, dict(zip(plan.members, plan.weights)), [0.0, 1.0], "class", k)
-    received = inboxes.take(SERVER, AGGREGATED_SHARE, r)
+    received = bus.take(SERVER, AGGREGATED_SHARE, r)
     return plan, [(m.payload["alpha_index"], m.payload["payload"]) for m in received], oracle
 
 

@@ -415,13 +415,13 @@ class TestStageTiming:
         assert rec.counts == self.UNSIGNED
 
 
-class TestDirectAndBusDelivery:
-    """One group driven through the stages over the direct inboxes and over a
-    fresh bus reaches the same result from the same server inbox."""
+class TestGroupOverFreshBus:
+    """One group driven through the stages over a fresh bus sends its
+    messages the same way every time and decodes from the server's inbox."""
 
     LEADER = 6
 
-    def drive(self, bus, kind):
+    def drive(self, kind):
         from svafd.sigcrypto import MockBackend
 
         cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain="class", backend="mock")
@@ -433,23 +433,23 @@ class TestDirectAndBusDelivery:
             cfg, self.LEADER, range(cfg.r), rng, lambda z: (rng.uniform(-10, 10, (cfg.d, cfg.d)), rng),
             MockBackend(), PerfRecorder(), tamper=tamper,
         )
+        bus = MessageBus(protocol.RoundTranscript(config_digest=""))
         protocol._exchange(group, bus)
         server = [
             (m.sender, m.payload["alpha_index"], m.payload["payload"].tobytes())
             for m in bus.inboxes[(SERVER, AGGREGATED_SHARE, self.LEADER)]
         ]
-        return protocol._conclude(group, bus), server
+        return protocol._conclude(group, bus), server, bus.transcript
 
     @pytest.mark.parametrize("kind", [None, "share_tamper", "weight_tamper", "server_tamper"])
-    def test_same_group_over_both_deliveries(self, kind):
-        inboxes = protocol._Inboxes()
-        bus = MessageBus(protocol.RoundTranscript(config_digest=""))
-        direct, direct_server = self.drive(inboxes, kind)
-        routed, routed_server = self.drive(bus, kind)
-        assert direct.verdict == routed.verdict == ("accept" if kind is None else "reject")
-        assert direct.teacher.tobytes() == routed.teacher.tobytes()
-        assert (direct.rel_error, direct.probe_distance) == (routed.rel_error, routed.probe_distance)
-        assert len(direct_server) == 6 and direct_server == routed_server
-        assert not hasattr(inboxes, "transcript")
-        shares = bus.transcript.messages_of(kind=SHARE)
+    def test_same_group_on_two_fresh_buses(self, kind):
+        first, first_server, first_log = self.drive(kind)
+        second, second_server, second_log = self.drive(kind)
+        assert first.verdict == second.verdict == ("accept" if kind is None else "reject")
+        assert first.teacher.tobytes() == second.teacher.tobytes()
+        assert (first.rel_error, first.probe_distance) == (second.rel_error, second.probe_distance)
+        assert len(first_server) == 6 and first_server == second_server
+        assert [m.sender for m in first_log.messages_of(kind=AGGREGATED_SHARE)] == list(range(6))
+        assert first_log.export_jsonl() == second_log.export_jsonl()
+        shares = first_log.messages_of(kind=SHARE)
         assert len(shares) == 6 * 5 and all(m.sender != m.receiver for m in shares)

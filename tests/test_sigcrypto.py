@@ -219,9 +219,9 @@ class TestProofFolding:
 def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MOCK, sigma=50.0, weights=None):
     """Full pipeline incl. signatures; returns everything verify needs."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, grain=grain, d=d, o=omega * k)
-    group, inboxes = exchanged_group(np.random.default_rng(seed), 0, cfg, -8, 8, backend, weights)
-    teacher = _conclude(group, inboxes).teacher
-    [decoded] = inboxes.take(0, DECODED_RESULT)
+    group, bus = exchanged_group(np.random.default_rng(seed), 0, cfg, -8, 8, backend, weights)
+    teacher = _conclude(group, bus).teacher
+    [decoded] = bus.take(0, DECODED_RESULT)
     return decoded.payload["proof"], teacher, list(group.weight_ints.values()), [group.keys[z] for z in range(r)], k, q
 
 
