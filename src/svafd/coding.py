@@ -72,6 +72,12 @@ def monomial(degree: int) -> list[float]:
     return [0.0] * degree + [1.0]
 
 
+def is_identity(coeffs) -> bool:
+    """Whether coeffs is f(x) = x, which needs no polynomial evaluation."""
+    coeffs = list(coeffs)
+    return len(coeffs) == 2 and coeffs[0] == 0 and coeffs[1] == 1
+
+
 @dataclass(frozen=True)
 class SplitBundle:
     """K plaintext slices plus T complex noise slices of one client's logits."""
@@ -234,19 +240,31 @@ def encode(bundle: SplitBundle, plan: GroupPlan, sender: int) -> list[EncodedSha
 
 
 def local_aggregate(received, blinded_weights: dict, f_coeffs, holder: int) -> AggregatedShare:
-    """Weighted sum of f(share) over every member in the weights view.
+    """Weighted sum of f(share) over every member in the weights view, in
+    view order.
 
-    Raises MissingShare when a member listed in the view never delivered.
+    For f(x) = x, the only f a verified round uses, this is one running sum,
+    acc = w0*s0 then acc += w*s, with the bytes Horner would give but no
+    polynomial evaluation; Horner (`apply_poly`) runs per share only for any
+    other f. Raises MissingShare when a member listed in the view never
+    delivered.
     """
     by_sender = {}
     for share in received:
         by_sender[share.sender] = share.payload
-    payload = None
+    identity = is_identity(f_coeffs)
+    payload = term = None
     for member, w in blinded_weights.items():
         if member not in by_sender:
             raise MissingShare(f"no share from member {member}")
-        term = w * apply_poly(f_coeffs, by_sender[member])
-        payload = term if payload is None else payload + term
+        share = by_sender[member]
+        if not identity:
+            share = apply_poly(f_coeffs, share)
+        if payload is None:
+            payload = np.multiply(w, share, dtype=complex)
+            term = np.empty_like(payload)
+        else:
+            payload += np.multiply(w, share, out=term, dtype=complex)
     if payload is None:
         raise ValueError("empty weights view")
     return AggregatedShare(holder=holder, payload=payload)

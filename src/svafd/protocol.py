@@ -107,7 +107,7 @@ class RoundConfig:
             raise InfeasibleConfig("verified rounds require degree-1 aggregation")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     seq: int
     stage: str
@@ -249,6 +249,10 @@ class MessageBus:
     """Deterministic in-process delivery: every message is recorded in the
     transcript and filed in an inbox in send order.
 
+    A `Message` is a slotted, mutable dataclass: building one is the bulk
+    of a send, and the transcript export reads its fields but digests only
+    its payload, never the record itself.
+
     Inboxes are indexed by (receiver, kind, leader), where leader is the
     payload's "leader" entry (None for payloads without one), so `take`
     pops exactly one group's messages of one kind without scanning or
@@ -318,13 +322,22 @@ class PerfRecorder:
 
 
 def _oracle_teacher(bundles: dict, weights: dict, f_coeffs, grain: str, k: int):
-    """Plaintext reference: weighted f over each quantized slice, rejoined."""
+    """Plaintext reference: weighted f over each quantized slice, rejoined.
+
+    Each slot is one running sum over the bundles in their order; for
+    f(x) = x it takes no polynomial evaluation, and Horner (`apply_poly`)
+    runs per slice only for any other f."""
+    identity = coding.is_identity(f_coeffs)
     slices = []
     for slot in range(k):
-        acc = None
+        acc = term = None
         for z, bundle in bundles.items():
-            term = weights[z] * coding.apply_poly(f_coeffs, bundle.slices[slot]).real
-            acc = term if acc is None else acc + term
+            part = bundle.slices[slot] if identity else coding.apply_poly(f_coeffs, bundle.slices[slot]).real
+            if acc is None:
+                acc = weights[z] * part
+                term = np.empty_like(acc)
+            else:
+                acc += np.multiply(weights[z], part, out=term)
         slices.append(acc)
     if grain == "class":
         return np.sum(slices, axis=0)

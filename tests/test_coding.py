@@ -195,6 +195,77 @@ class TestLocalAggregate:
             local_aggregate([self.mk_share(0, 1.0)], {0: np.ones((1, 1)), 1: np.ones((1, 1))}, monomial(1), holder=0)
 
 
+def horner_aggregate(received, view, f_coeffs):
+    """Per-pair reference: Horner on every share, then the weighted sum in
+    view order."""
+    by_sender = {share.sender: share.payload for share in received}
+    payload = None
+    for member, w in view.items():
+        value = np.zeros_like(by_sender[member], dtype=complex)
+        for c in reversed(list(f_coeffs)):
+            value = value * by_sender[member] + c
+        term = w * value
+        payload = term if payload is None else payload + term
+    return payload
+
+
+class TestDegreeOneAggregate:
+    """The degree-1 running sum gives the same bytes as Horner per pair."""
+
+    shape = (4, 3)
+
+    def shares(self, rng, senders):
+        return [
+            EncodedShare(z, 0, rng.normal(size=self.shape) + 1j * rng.normal(size=self.shape)) for z in senders
+        ]
+
+    def view(self, rng, members):
+        weights = quantize(rng.uniform(0.01, 0.3, len(members)), 3)
+        blind_factor = rng.uniform(0.5, 2.0, self.shape)
+        return {z: w * blind_factor for z, w in zip(members, weights)}, blind_factor
+
+    def assert_matches_reference(self, received, view):
+        agg = local_aggregate(received, view, monomial(1), holder=0)
+        ref = horner_aggregate(received, view, monomial(1))
+        assert agg.payload.dtype == ref.dtype and agg.payload.tobytes() == ref.tobytes()
+
+    def test_non_uniform_weights(self):
+        rng = np.random.default_rng(21)
+        view, _ = self.view(rng, range(7))
+        self.assert_matches_reference(self.shares(rng, range(7)), view)
+
+    def test_weight_tamper_view(self):
+        rng = np.random.default_rng(22)
+        view, blind_factor = self.view(rng, range(5))
+        view = {**view, 2: view[2] + 1e-3 * blind_factor}
+        self.assert_matches_reference(self.shares(rng, range(5)), view)
+
+    def test_single_member_view(self):
+        rng = np.random.default_rng(23)
+        view, _ = self.view(rng, [3])
+        self.assert_matches_reference(self.shares(rng, [3]), view)
+
+    def test_view_order_differs_from_received_order(self):
+        rng = np.random.default_rng(24)
+        view, _ = self.view(rng, [4, 0, 2, 1, 3])
+        self.assert_matches_reference(self.shares(rng, [2, 3, 0, 4, 1]), view)
+
+    def test_encoded_shares(self):
+        rng = np.random.default_rng(25)
+        plan = make_group_plan(9, range(6), 2, 1, self.shape, rng)
+        bundles = [blind(split(rng.uniform(-10, 10, (8, 3)), 2, "sample"), 1, 100.0, 6.0, rng) for _ in range(6)]
+        inbox = [encode(b, plan, sender=z)[3] for z, b in enumerate(bundles)]
+        self.assert_matches_reference(inbox, {z: plan.blinded_weight_of(z) for z in plan.members})
+
+    def test_missing_share_and_empty_view_still_raise(self):
+        rng = np.random.default_rng(26)
+        view, _ = self.view(rng, range(3))
+        with pytest.raises(MissingShare):
+            local_aggregate(self.shares(rng, [0, 2]), view, monomial(1), holder=0)
+        with pytest.raises(ValueError, match="empty weights view"):
+            local_aggregate(self.shares(rng, [0]), {}, monomial(1), holder=0)
+
+
 class TestDecode:
     def test_single_share_degree_zero(self):
         nodes = make_nodes(3, 1, 0)

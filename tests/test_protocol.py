@@ -29,6 +29,8 @@ from svafd.protocol import (
     workload_provider,
 )
 
+from helpers import exchanged_group, full_pipeline
+
 
 def small_cfg(**overrides):
     base = dict(n=6, r=5, k=2, t=1, q=3, d=6, grain="class", seed=1, backend="mock")
@@ -453,3 +455,46 @@ class TestGroupOverFreshBus:
         assert first_log.export_jsonl() == second_log.export_jsonl()
         shares = first_log.messages_of(kind=SHARE)
         assert len(shares) == 6 * 5 and all(m.sender != m.receiver for m in shares)
+
+
+def horner_oracle(bundles, weights, f_coeffs, grain, k):
+    """Per-slot reference: Horner on every slice, then the weighted sum in
+    bundle order, rejoined."""
+    slices = []
+    for slot in range(k):
+        acc = None
+        for z, bundle in bundles.items():
+            value = np.zeros_like(bundle.slices[slot], dtype=complex)
+            for c in reversed(list(f_coeffs)):
+                value = value * bundle.slices[slot] + c
+            term = weights[z] * value.real
+            acc = term if acc is None else acc + term
+        slices.append(acc)
+    return np.sum(slices, axis=0) if grain == "class" else np.concatenate(slices, axis=0)
+
+
+class TestDegreeOneOracle:
+    """The plaintext oracle's running sum gives the same bytes as Horner per
+    slot, and no degree-1 run evaluates a polynomial."""
+
+    @pytest.mark.parametrize("grain", ["class", "sample"])
+    @pytest.mark.parametrize("deg", [1, 2])
+    def test_matches_per_slot_horner(self, grain, deg):
+        cfg = RoundConfig(n=8, r=7, k=3, t=1, q=3, d=5, grain=grain, o=12)
+        rng = np.random.default_rng(31)
+        group, _ = exchanged_group(rng, 7, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r))
+        weights = dict(zip(group.plan.members, group.plan.weights))
+        f_coeffs = protocol.coding.monomial(deg)
+        got = protocol._oracle_teacher(group.bundles, weights, f_coeffs, grain, cfg.k)
+        ref = horner_oracle(group.bundles, weights, f_coeffs, grain, cfg.k)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_apply_poly_runs_only_above_degree_one(self, monkeypatch):
+        calls = []
+        horner = protocol.coding.apply_poly
+        monkeypatch.setattr(protocol.coding, "apply_poly", lambda c, x: calls.append(len(c)) or horner(c, x))
+        run_single_group(6, 2, 1, grain="class", d=4, seed=1)
+        run_small()
+        assert calls == []
+        full_pipeline(seed=1, r=8, k=2, t=1, deg_f=2)
+        assert calls and set(calls) == {3}
