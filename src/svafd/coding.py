@@ -170,9 +170,6 @@ class GroupPlan:
     blind_factor: np.ndarray      # (omega, d), entries in [0.5, 2.0]
     blinded_weights: np.ndarray   # (r, omega, d) = weights[z] * blind_factor
 
-    def blinded_weight_of(self, member: int) -> np.ndarray:
-        return self.blinded_weights[self.members.index(member)]
-
 
 def make_group_plan(
     leader: int,

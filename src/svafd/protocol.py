@@ -5,17 +5,22 @@ each selects the group it leads), then one group protocol per leader. That
 protocol is written once, as three stages over a `_Group` state: `_prepare`
 (the plan; members quantize, split, blind and sign), `_exchange` (encode,
 deliver shares, aggregate) and `_conclude` (decode, proof, deblind, verify;
-"insufficient" below the interpolation threshold). The threats module's
-tampers enter at the share, the weight view and the decoded slices.
+"insufficient" below the interpolation threshold).
+
 `_exchange` and `_conclude` send and take the group's messages themselves,
 through the `MessageBus`'s `send` and `take`: `run_round` passes the round's
 bus, `run_single_group` and the tests a fresh one over an empty transcript.
-A member's share to itself stays local, and the server decodes and proves
-from its own inbox only.
+Every party acts only on what it takes: a member on its invite, its plan and
+the shares it holds (its share to itself stays local), the server on its
+roster, the aggregates and the signatures, and the leader on its key shares
+and the decoded result. A tamper enters at one point, as a mutation that
+`MessageBus.send` applies to one message before recording it.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
-shares and no aggregates.
+shares and no aggregates and take nothing as members, so after a round only
+the fingerprint broadcast and the member messages addressed to stragglers
+stay filed.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ import functools
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import coding, filtration, sigcrypto
-from .numerics import relative_error
+from .numerics import make_nodes, relative_error
 
 SERVER = -1
 
@@ -256,16 +262,29 @@ class MessageBus:
     Inboxes are indexed by (receiver, kind, leader), where leader is the
     payload's "leader" entry (None for payloads without one), so `take`
     pops exactly one group's messages of one kind without scanning or
-    requeueing anyone else's. Messages nobody takes (the fingerprint
-    broadcast) just stay filed. The transcript append is locked only by
-    Python's GIL semantics; a single-threaded scheduler drives this engine."""
+    requeueing anyone else's. Every party takes what it acts on; only the
+    fingerprint broadcast and the member messages addressed to stragglers
+    stay filed.
+
+    `mutations` is the one point where a tamper enters: it maps (kind,
+    sender, receiver, leader) to a function that returns the payload to
+    deliver in place of the one sent. `send` applies it to the first
+    message under that key, before recording, so the transcript shows what
+    was delivered. The transcript append is locked only by Python's GIL
+    semantics; a single-threaded scheduler drives this engine."""
 
     def __init__(self, transcript: RoundTranscript):
         self.transcript = transcript
         self.inboxes: dict[tuple, list[Message]] = {}
+        self.mutations: dict[tuple, Callable] = {}
         self._seq = 0
 
     def send(self, kind: str, sender: int, receiver: int, payload) -> Message:
+        leader = payload.get("leader") if isinstance(payload, dict) else None
+        if self.mutations:
+            mutate = self.mutations.pop((kind, sender, receiver, leader), None)
+            if mutate is not None:
+                payload = mutate(payload)
         msg = Message(
             seq=self._seq,
             stage=STAGE_OF_KIND[kind],
@@ -276,7 +295,6 @@ class MessageBus:
         )
         self._seq += 1
         self.transcript.messages.append(msg)
-        leader = payload.get("leader") if isinstance(payload, dict) else None
         self.inboxes.setdefault((receiver, kind, leader), []).append(msg)
         return msg
 
@@ -344,20 +362,48 @@ def _oracle_teacher(bundles: dict, weights: dict, f_coeffs, grain: str, k: int):
     return np.concatenate(slices, axis=0)
 
 
-def _resolve_tamper(tamper, leader: int, live: tuple):
-    """Fill unspecified tamper targets with the group's first live members: a
-    share tamper hits live[0]'s share to live[1], a weight tamper skews
-    live[1]'s weight in live[0]'s view."""
+def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
+    """The bus mutation of a tamper aimed at this group, keyed as
+    `MessageBus.mutations` is; empty for any other group. Unspecified targets
+    default to the group's first live members: a share tamper hits live[0]'s
+    share to live[1], a weight tamper skews live[1]'s weight in live[0]'s
+    plan, and a server tamper moves an entry of the first decoded slice."""
+    leader = plan.leader
     if tamper is None or tamper.leader != leader or not live:
-        return None
+        return {}
     first, second = live[0], live[1] if len(live) > 1 else live[0]
-    defaults = {"share_tamper": (first, second), "weight_tamper": (second, first)}
-    sender, member = defaults.get(tamper.kind, (None, None))
-    return replace(
-        tamper,
-        sender=sender if tamper.sender is None else tamper.sender,
-        member=member if tamper.member is None else tamper.member,
-    )
+    entry, delta = tamper.entry, tamper.delta
+    if tamper.kind == "share_tamper":
+
+        def mutate(payload):
+            share = payload["share"]
+            moved = share.payload.copy()
+            moved[entry] += delta
+            return {**payload, "share": coding.EncodedShare(share.sender, share.receiver, moved)}
+
+        sender = first if tamper.sender is None else tamper.sender
+        receiver = second if tamper.member is None else tamper.member
+        return {(SHARE, sender, receiver, leader): mutate}
+    if tamper.kind == "weight_tamper":
+        target = second if tamper.sender is None else tamper.sender
+        x = plan.members.index(target if target in live else first)
+
+        def mutate(payload):
+            weights = payload["blinded_weights"].copy()
+            weights[x] = weights[x] + delta * plan.blind_factor
+            return {**payload, "blinded_weights": weights}
+
+        member = first if tamper.member is None else tamper.member
+        return {(PLAN_DISTRIBUTION, leader, member, leader): mutate}
+    if tamper.kind == "server_tamper":
+
+        def mutate(payload):
+            decoded = [s.copy() for s in payload["decoded"]]
+            decoded[0][entry] += delta
+            return {**payload, "decoded": decoded}
+
+        return {(DECODED_RESULT, SERVER, leader, None): mutate}
+    return {}
 
 
 @dataclass
@@ -369,7 +415,6 @@ class _Group:
     live: tuple  # members that take part, in plan order
     backend: object
     perf: PerfRecorder
-    tamper: object  # resolved for this group, or None
     weight_ints: dict
     weight_sigs: dict | None
     bundles: dict = field(default_factory=dict)  # live member -> blinded SplitBundle
@@ -377,9 +422,7 @@ class _Group:
     logits_sigs: dict = field(default_factory=dict)
 
 
-def _prepare(
-    cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), keys=None, tamper=None, weights=None
-) -> _Group:
+def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), keys=None, weights=None) -> _Group:
     """Stage 1, member preparation: the leader's plan and weight signatures,
     then each live member quantizes, splits, blinds and signs its logits.
 
@@ -397,8 +440,7 @@ def _prepare(
     if backend is not None:
         with perf.timer("leader", "auxiliary", count=len(plan.members)):
             weight_sigs = dict(zip(plan.members, sigcrypto.sign_weights(list(weight_ints.values()), backend)))
-    tamper = _resolve_tamper(tamper, leader, live)
-    group = _Group(cfg, plan, live, backend, perf, tamper, weight_ints, weight_sigs, keys=keys or {})
+    group = _Group(cfg, plan, live, backend, perf, weight_ints, weight_sigs, keys=keys or {})
     for member in sorted(live):
         raw, member_rng = inputs(member)
         with perf.timer("follower", "preprocess"):
@@ -418,24 +460,25 @@ def _prepare(
 
 def _exchange(group: _Group, bus) -> None:
     """Stage 2, share exchange: the leader sends invites, the plan and the
-    server's roster; every member sends its key share and signatures, and
-    every live member encodes its bundle and sends one share per member,
-    keeping its share to itself. The leader then sends the weight
-    signatures, and every live member aggregates what it received under the
-    live-member weight view and sends the aggregate to the server."""
-    cfg, plan, tamper, perf = group.cfg, group.plan, group.tamper, group.perf
+    server's roster; every member sends its key share and signatures. Every
+    live member takes its invite and plan, encodes its bundle and sends one
+    share per member, keeping its share to itself. After the leader's weight
+    signatures, each aggregates the shares it holds under the blinded weights
+    of its plan and sends the aggregate, naming their senders, to the server."""
+    cfg, plan, perf = group.cfg, group.plan, group.perf
     leader, send = plan.leader, bus.send
-    kind = tamper.kind if tamper is not None else None
     for member in plan.members:
         send(GROUP_INVITE, leader, member, {"leader": leader})
-    distribution = dict(lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members)
+    distribution = dict(
+        leader=leader, lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members
+    )
     for member in plan.members:
         send(PLAN_DISTRIBUTION, leader, member, distribution)
     # roster registration: the server learns who maps to which evaluation
     # point, never the weights or the blind
     roster = dict(leader=leader, members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
     send(PLAN_DISTRIBUTION, leader, SERVER, roster)
-    own = {}
+    own, plans = {}, {}
     for member in sorted(plan.members):
         if member in group.keys:
             send(KEY_SHARE, member, leader, {"upsilon": group.keys[member].upsilon})
@@ -443,72 +486,69 @@ def _exchange(group: _Group, bus) -> None:
             send(AUX_PROOF, member, SERVER, {"leader": leader, "logits_sigs": group.logits_sigs[member]})
         if member not in group.bundles:
             continue
+        bus.take(member, GROUP_INVITE, leader)
+        [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
+        plans[member] = taken.payload
         with perf.timer("follower", "encode"):
             shares = coding.encode(group.bundles[member], plan, sender=member)
         for share in shares:
-            if kind == "share_tamper" and (tamper.sender, tamper.member) == (member, share.receiver):
-                payload = share.payload.copy()
-                payload[tamper.entry] += tamper.delta
-                share = coding.EncodedShare(member, share.receiver, payload)
             if share.receiver == member:
                 own[member] = share
             else:
                 send(SHARE, member, share.receiver, {"leader": leader, "share": share})
     send(AUX_PROOF, leader, SERVER, {"leader": leader, "weight_sigs": group.weight_sigs})
     f_coeffs = coding.monomial(cfg.f_degree)
-    view = {m: plan.blinded_weight_of(m) for m in group.live}
     for member in sorted(group.live):
-        received = [own[member]] + [msg.payload["share"] for msg in bus.take(member, SHARE, leader)]
-        member_view = view
-        if kind == "weight_tamper" and tamper.member == member:
-            target = tamper.sender if tamper.sender in view else group.live[0]
-            member_view = {**view, target: view[target] + tamper.delta * plan.blind_factor}
+        held = {member: own[member]} | {m.sender: m.payload["share"] for m in bus.take(member, SHARE, leader)}
+        members = plans[member]["members"]
+        view = {m: w for m, w in zip(members, plans[member]["blinded_weights"]) if m in held}
         with perf.timer("follower", "aggregate"):
-            agg = coding.local_aggregate(received, member_view, f_coeffs, holder=member)
-        index = plan.members.index(member)
-        payload = dict(leader=leader, alpha_index=index, payload=agg.payload, contributors=group.live)
+            agg = coding.local_aggregate(held.values(), view, f_coeffs, holder=member)
+        payload = dict(leader=leader, alpha_index=members.index(member), payload=agg.payload, contributors=tuple(view))
         send(AGGREGATED_SHARE, member, SERVER, payload)
 
 
 def _conclude(group: _Group, bus) -> GroupResult:
-    """Stage 3, conclusion: the server decodes the aggregates in its inbox,
-    folds the signatures in its inbox into one proof and sends both to the
-    leader, who deblinds and verifies. A group with fewer aggregates than
-    the interpolation threshold is "insufficient"."""
-    cfg, plan, live, backend, perf = group.cfg, group.plan, group.live, group.backend, group.perf
-    aggregates = bus.take(SERVER, AGGREGATED_SHARE, plan.leader)
+    """Stage 3, conclusion: the server takes its roster, the aggregates and
+    the signatures, decodes at the roster's nodes, proves over the
+    contributors the aggregates name and sends all three to the leader. The
+    leader takes its key shares and that result, then deblinds and verifies.
+    Fewer aggregates than the interpolation threshold is "insufficient"."""
+    cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
+    leader = plan.leader
+    key_of = {m.sender: sigcrypto.PrivateKey(m.payload["upsilon"]) for m in bus.take(leader, KEY_SHARE)}
+    [roster] = [m.payload for m in bus.take(SERVER, PLAN_DISTRIBUTION, leader)]
+    aggregates = bus.take(SERVER, AGGREGATED_SHARE, leader)
     points = [(m.payload["alpha_index"], m.payload["payload"]) for m in aggregates]
-    logits_sigs, weight_sigs = {}, None
-    for m in bus.take(SERVER, AUX_PROOF, plan.leader):
-        if "logits_sigs" in m.payload:
-            logits_sigs[m.sender] = m.payload["logits_sigs"]
-        else:
-            weight_sigs = m.payload["weight_sigs"]
+    signatures = bus.take(SERVER, AUX_PROOF, leader)
+    logits_sigs = {m.sender: m.payload["logits_sigs"] for m in signatures if "logits_sigs" in m.payload}
+    [weight_sigs] = [m.payload["weight_sigs"] for m in signatures if "weight_sigs" in m.payload]
     f_coeffs = coding.monomial(cfg.f_degree)
     weights_of = dict(zip(plan.members, plan.weights))
     oracle = _oracle_teacher(group.bundles, weights_of, f_coeffs, cfg.grain, cfg.k) if group.bundles else None
-    result = GroupResult(plan.leader, plan.members, live, "insufficient", oracle=oracle)
+    result = GroupResult(leader, plan.members, group.live, "insufficient", oracle=oracle)
     try:
         with perf.timer("server", "decode"):
-            decoded = coding.decode(points, plan.nodes, cfg.k, cfg.t, cfg.f_degree)
+            nodes = make_nodes(len(roster["members"]), roster["k"], roster["t"], radius=roster["radius"])
+            decoded = coding.decode(points, nodes, roster["k"], roster["t"], cfg.f_degree)
     except coding.InsufficientShares:
         return result
-    if group.tamper is not None and group.tamper.kind == "server_tamper":
-        decoded = [s.copy() for s in decoded]
-        decoded[0][group.tamper.entry] += group.tamper.delta
+    contributors = aggregates[0].payload["contributors"]
     proof = None
     if backend is not None:
-        aux = sigcrypto.AuxProofs({z: logits_sigs[z] for z in live}, {z: weight_sigs[z] for z in live})
-        with perf.timer("server", "proof", count=len(live)):
+        aux = sigcrypto.AuxProofs({z: logits_sigs[z] for z in contributors}, {z: weight_sigs[z] for z in contributors})
+        with perf.timer("server", "proof", count=len(contributors)):
             proof = sigcrypto.aggregate_proof(aux, backend)
-    bus.send(DECODED_RESULT, SERVER, plan.leader, {"decoded": decoded, "proof": proof})
+    bus.send(DECODED_RESULT, SERVER, leader, {"decoded": decoded, "proof": proof, "contributors": contributors})
 
-    result.teacher = coding.deblind_and_join(decoded, plan.blind_factor, cfg.grain)
+    [delivered] = [m.payload for m in bus.take(leader, DECODED_RESULT)]
+    result.teacher = coding.deblind_and_join(delivered["decoded"], plan.blind_factor, cfg.grain)
     result.verdict = "accept"
     if backend is not None:
-        weight_ints, keys = [group.weight_ints[z] for z in live], [group.keys[z] for z in live]
+        contributors = delivered["contributors"]
+        weight_ints, keys = [group.weight_ints[z] for z in contributors], [key_of[z] for z in contributors]
         with perf.timer("leader", "verify"):
-            verdict = sigcrypto.verify(proof, result.teacher, weight_ints, keys, cfg.k, cfg.q, backend)
+            verdict = sigcrypto.verify(delivered["proof"], result.teacher, weight_ints, keys, cfg.k, cfg.q, backend)
         result.verdict = "accept" if verdict.accepted else "reject"
         result.probe_distance = verdict.probe_distance
         result.margin_warning = verdict.margin_warning
@@ -521,8 +561,9 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     """Execute one full round for every client's group.
 
     logits_provider(client_id) must return (sample list, knowledge matrix)
-    for every non-straggler client. tamper, when given, is applied to exactly
-    one group (see the threats module). Deterministic in cfg.seed.
+    for every non-straggler client. tamper, when given, becomes one bus
+    mutation in exactly one group (see the threats module and
+    `_resolve_tamper`). Deterministic in cfg.seed.
     """
     cfg.validate()
     backend = sigcrypto.get_backend(cfg.backend)
@@ -557,8 +598,9 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
         group = _prepare(
             cfg, leader, roster, np.random.default_rng([cfg.seed, 2, leader]),
             lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])),
-            backend, perf, stragglers=cfg.straggler_ids, keys=keys, tamper=tamper,
+            backend, perf, stragglers=cfg.straggler_ids, keys=keys,
         )
+        bus.mutations.update(_resolve_tamper(tamper, group.plan, group.live))
         _exchange(group, bus)
         runs.append(group)
     for group in runs:

@@ -3,9 +3,10 @@ filtration-quality metrics.
 
 Client-side kinds fabricate or distort the logits a poisoner submits;
 tamper kinds mutate one value in flight (an encoded share entry, an
-aggregation weight, or a decoded teacher entry) to probe that verification
-catches the smallest representable lie. Filtration quality is scored as the
-fraction of benign member slots inside benign-led groups.
+aggregation weight in one member's plan, or a decoded teacher entry) to probe
+that verification catches the smallest representable lie; the protocol turns
+each into a mutation of one message on its bus. Filtration quality is scored
+as the fraction of benign member slots inside benign-led groups.
 """
 
 from __future__ import annotations
@@ -147,10 +148,14 @@ class RoundTamper:
 
 
 def inject_tamper(spec: AttackSpec, leader: int, member=None, sender=None) -> RoundTamper:
-    """Instantiate the round hook for a tamper-kind spec."""
+    """Instantiate the round tamper for a tamper-kind spec.
+
+    A share tamper must name two different members when it names both: a
+    member's share to itself never crosses the bus, so nothing could alter it.
+    """
     if spec.kind not in TAMPER_KINDS:
         raise KindMismatch(f"{spec.kind} is not a tamper kind")
-    return RoundTamper(
+    tamper = RoundTamper(
         kind=spec.kind,
         leader=leader,
         member=member if member is not None else spec.params.get("member"),
@@ -158,6 +163,9 @@ def inject_tamper(spec: AttackSpec, leader: int, member=None, sender=None) -> Ro
         entry=tuple(spec.params.get("entry", (0, 0))),
         delta=float(spec.params.get("delta", 0.0)),
     )
+    if tamper.kind == "share_tamper" and tamper.sender is not None and tamper.sender == tamper.member:
+        raise ValueError(f"member {tamper.sender}'s share to itself never crosses the bus")
+    return tamper
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ class TestDegreeOneAggregate:
         plan = make_group_plan(9, range(6), 2, 1, self.shape, rng)
         bundles = [blind(split(rng.uniform(-10, 10, (8, 3)), 2, "sample"), 1, 100.0, 6.0, rng) for _ in range(6)]
         inbox = [encode(b, plan, sender=z)[3] for z, b in enumerate(bundles)]
-        self.assert_matches_reference(inbox, {z: plan.blinded_weight_of(z) for z in plan.members})
+        self.assert_matches_reference(inbox, dict(zip(plan.members, plan.blinded_weights)))
 
     def test_missing_share_and_empty_view_still_raise(self):
         rng = np.random.default_rng(26)

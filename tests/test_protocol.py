@@ -11,12 +11,14 @@ from svafd.protocol import (
     AGGREGATED_SHARE,
     AUX_PROOF,
     DECODED_RESULT,
+    GROUP_INVITE,
     HASHED_CAL,
     KEY_SHARE,
     PLAN_DISTRIBUTION,
     SERVER,
     SERVER_VISIBLE_KINDS,
     SHARE,
+    STAGE_OF_KIND,
     InfeasibleConfig,
     Message,
     MessageBus,
@@ -302,6 +304,10 @@ def reference_export_jsonl(transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what a member takes; a straggler leaves these filed
+MEMBER_KINDS = {GROUP_INVITE, PLAN_DISTRIBUTION, SHARE}
+
+
 def tampered_round(kind, **overrides):
     """A round with stragglers 2 and 7 (n=10, r=4 unless overridden) and the
     given tamper kind aimed at group 4; kind=None runs honestly."""
@@ -357,14 +363,14 @@ class TestRoundHotPath:
         for receiver, kind, leader, out in takes:
             assert [m.seq for m in out] == sorted(m.seq for m in out)
             for m in out:
-                assert (m.receiver, m.kind, m.payload["leader"]) == (receiver, kind, leader)
+                assert (m.receiver, m.kind, m.payload.get("leader")) == (receiver, kind, leader)
                 taken[m.seq] = taken.get(m.seq, 0) + 1
-        routed = [m for m in transcript.messages if m.kind in (SHARE, AGGREGATED_SHARE, AUX_PROOF)]
-        # a straggler never collects the shares addressed to it
-        offline = {m.seq for m in routed if m.receiver in cfg.straggler_ids}
-        assert offline and all(m.kind == SHARE for m in routed if m.seq in offline)
+        routed = [m for m in transcript.messages if m.kind != HASHED_CAL]
+        # a straggler never collects what is addressed to it as a member
+        offline = {m.seq for m in routed if m.receiver in cfg.straggler_ids and m.kind in MEMBER_KINDS}
+        assert {m.kind for m in routed if m.seq in offline} == MEMBER_KINDS
         online = [m for m in routed if m.seq not in offline]
-        assert {m.kind for m in online} == {SHARE, AGGREGATED_SHARE, AUX_PROOF}
+        assert {m.kind for m in online} == set(STAGE_OF_KIND) - {HASHED_CAL}
         assert all(taken.get(m.seq) == 1 for m in online)
         assert set(taken) == {m.seq for m in online}
 
@@ -433,9 +439,10 @@ class TestGroupOverFreshBus:
             tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3}), leader=self.LEADER)
         group = protocol._prepare(
             cfg, self.LEADER, range(cfg.r), rng, lambda z: (rng.uniform(-10, 10, (cfg.d, cfg.d)), rng),
-            MockBackend(), PerfRecorder(), tamper=tamper,
+            MockBackend(), PerfRecorder(),
         )
         bus = MessageBus(protocol.RoundTranscript(config_digest=""))
+        bus.mutations.update(protocol._resolve_tamper(tamper, group.plan, group.live))
         protocol._exchange(group, bus)
         server = [
             (m.sender, m.payload["alpha_index"], m.payload["payload"].tobytes())
@@ -455,6 +462,99 @@ class TestGroupOverFreshBus:
         assert first_log.export_jsonl() == second_log.export_jsonl()
         shares = first_log.messages_of(kind=SHARE)
         assert len(shares) == 6 * 5 and all(m.sender != m.receiver for m in shares)
+
+
+@pytest.fixture
+def buses(monkeypatch):
+    """Every bus the round engine builds while the test runs, in order."""
+    made = []
+
+    class RecordingBus(MessageBus):
+        def __init__(self, transcript):
+            super().__init__(transcript)
+            made.append(self)
+
+    monkeypatch.setattr(protocol, "MessageBus", RecordingBus)
+    return made
+
+
+def filed(bus):
+    return [m for inbox in bus.inboxes.values() for m in inbox]
+
+
+class TestInboxDrain:
+    """Every party takes what it acts on: after a round only the fingerprint
+    broadcast and the member messages addressed to stragglers stay filed."""
+
+    STRAGGLERS = frozenset({0, 24, 30, 32})
+
+    def assert_drained(self, bus, stragglers):
+        left = filed(bus)
+        assert all(m.kind == HASHED_CAL or (m.kind in MEMBER_KINDS and m.receiver in stragglers) for m in left)
+        assert {m.kind for m in left} == {HASHED_CAL} | MEMBER_KINDS
+
+    @pytest.mark.parametrize("kind", [None, "share_tamper", "weight_tamper", "server_tamper"])
+    def test_seeded_round(self, kind, buses):
+        cfg = RoundConfig(n=40, r=10, k=2, t=1, backend="mock", seed=5, straggler_ids=self.STRAGGLERS)
+        tamper = None
+        if kind is not None:
+            tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3}), leader=3)
+        transcript = run_round(cfg, workload_provider(cfg, alpha=1.0, samples=120), tamper=tamper)
+        [bus] = buses
+        self.assert_drained(bus, self.STRAGGLERS)
+        # 1560 fingerprints, 68 invites, 68 plans and 552 shares to stragglers
+        assert len(filed(bus)) == 2248 and len(transcript.messages) == 6532
+
+    def test_insufficient_groups_take_their_messages(self, buses):
+        _, transcript = run_small(n=5, r=4, straggler_ids=frozenset({0, 1}))
+        assert "insufficient" in {res.verdict for res in transcript.group_results.values()}
+        [bus] = buses
+        self.assert_drained(bus, {0, 1})
+
+    def test_one_group_leaves_every_inbox_empty(self):
+        from svafd.sigcrypto import MockBackend
+
+        cfg = RoundConfig(n=6, r=5, k=2, t=1, q=3, d=4, grain="class")
+        group, bus = exchanged_group(np.random.default_rng(3), 5, cfg, -10, 10, MockBackend())
+        assert protocol._conclude(group, bus).verdict == "accept"
+        assert filed(bus) == []
+
+
+class TestBusMutation:
+    """A mutation set on the bus attacks any message kind in flight, with no
+    hook in the stages: the group it hits rejects, every other accepts."""
+
+    LEADER = 2
+
+    def shift_aggregate(self, member):
+        def mutate(payload):
+            moved = payload["payload"].copy()
+            moved[0, 0] += 1.0
+            return {**payload, "payload": moved}
+
+        return (AGGREGATED_SHARE, member, SERVER, self.LEADER), mutate
+
+    def shift_key(self, member):
+        return (KEY_SHARE, member, self.LEADER, None), lambda payload: {"upsilon": payload["upsilon"] + 1}
+
+    @pytest.mark.parametrize("attack", ["shift_aggregate", "shift_key"])
+    def test_mutated_message_rejects_only_its_group(self, attack, monkeypatch):
+        cfg = small_cfg()
+        provider = workload_provider(cfg, alpha=1.0, samples=150)
+        member = run_round(cfg, provider).topology.groups[self.LEADER][0]
+        key, mutate = getattr(self, attack)(member)
+        hit = []
+
+        class AttackedBus(MessageBus):
+            def __init__(self, transcript):
+                super().__init__(transcript)
+                self.mutations[key] = lambda payload: hit.append(key) or mutate(payload)
+
+        monkeypatch.setattr(protocol, "MessageBus", AttackedBus)
+        transcript = run_round(cfg, provider)
+        assert hit == [key]
+        for leader, res in transcript.group_results.items():
+            assert res.verdict == ("reject" if leader == self.LEADER else "accept"), leader
 
 
 def horner_oracle(bundles, weights, f_coeffs, grain, k):

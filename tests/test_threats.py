@@ -92,6 +92,14 @@ class TestTamperInjection:
         with pytest.raises(KindMismatch):
             inject_tamper(AttackSpec("scale"), leader=0)
 
+    def test_share_tamper_on_own_share_refused(self):
+        # a member's share to itself stays local, so no tamper can reach it
+        with pytest.raises(ValueError, match="never crosses the bus"):
+            inject_tamper(AttackSpec("share_tamper", {"sender": 3, "member": 3}), leader=0)
+        with pytest.raises(ValueError):
+            inject_tamper(AttackSpec("share_tamper"), leader=0, member=2, sender=2)
+        assert inject_tamper(AttackSpec("weight_tamper"), leader=0, member=2, sender=2).member == 2
+
 
 class TestScoreFiltration:
     def test_no_poisoners_full_score(self):
