@@ -218,21 +218,18 @@ class AggregatedShare:
     payload: np.ndarray  # (omega, d) complex
 
 
-def encode(bundle: SplitBundle, plan: GroupPlan, sender: int) -> list[EncodedShare]:
-    """One share per group member: member x gets sum_j block_j * l_j(alpha_x)."""
+def encode(bundle: SplitBundle, lagrange: np.ndarray, members, sender: int) -> list[EncodedShare]:
+    """One share per group member: members[x] gets sum_j block_j * l_j(alpha_x),
+    with lagrange[j, x] = l_{j+1}(alpha_x) as in the plan the sender took."""
     blocks = bundle.blocks()
-    if blocks.shape[0] != plan.lagrange.shape[0]:
+    if lagrange.shape != (blocks.shape[0], len(members)):
         raise ShapeMismatch(
-            f"bundle has {blocks.shape[0]} blocks, plan expects {plan.lagrange.shape[0]}"
+            f"bundle has {blocks.shape[0]} blocks for {len(members)} members, plan coefficients are {lagrange.shape}"
         )
-    if blocks.shape[1:] != plan.blind_factor.shape:
-        raise ShapeMismatch(
-            f"slice shape {blocks.shape[1:]} does not match plan shape {plan.blind_factor.shape}"
-        )
-    payloads = np.einsum("jx,jod->xod", plan.lagrange, blocks)
+    payloads = np.einsum("jx,jod->xod", lagrange, blocks)
     return [
         EncodedShare(sender=sender, receiver=member, payload=payloads[x])
-        for x, member in enumerate(plan.members)
+        for x, member in enumerate(members)
     ]
 
 

@@ -17,7 +17,10 @@ Frobenius (conjugation on F_q[i]) over f, the second is COFACTOR.
 
 Group elements are affine points (x, y) with None for the identity;
 target-group elements are F_{q^2} values as (real, imag) tuples. Both are
-hashable (proof aggregation keys on group elements).
+hashable (proof aggregation keys on group elements). Sums of points run in
+Jacobian coordinates and turn affine once at the end, several at a time by
+Montgomery's trick; affine points are unique, so every result is the same
+tuple whichever order of additions produced it.
 """
 
 from __future__ import annotations
@@ -156,21 +159,6 @@ def _batch_to_affine(points):
     return out
 
 
-def ec_mul(n: int, p) -> tuple | None:
-    """Scalar multiplication, left-to-right Jacobian double-and-add over a
-    fixed affine base (single inversion at the end)."""
-    if p is None or n == 0:
-        return None
-    if n < 0:
-        return ec_mul(-n, ec_neg(p))
-    acc = None
-    for bit in bin(n)[2:]:
-        acc = _jac_double(acc)
-        if bit == "1":
-            acc = _jac_add_affine(acc, p)
-    return _jac_to_affine(acc)
-
-
 def _miller(p, q_distorted):
     """f_{r,p} evaluated at the distorted point, up to a factor in F_q.
 
@@ -246,10 +234,14 @@ class PairingBackend:
     final exponentiation above. Generator powers use a fixed-base table of
     WINDOW-bit windows: row j holds m * 2^(WINDOW*j) * g for m = 1 .. 2^WINDOW - 1
     as affine points, so g^a is one mixed addition per nonzero digit of a and
-    a single inversion. e(g,g) is cached for target-group exponentiation.
+    a single inversion. A signer's slice signatures g^(key + digest_j) share
+    one full-width power g^key: each short digest then adds only its own few
+    digits (g_pow_offsets). e(g,g) is cached for target-group exponentiation.
 
     Group elements (affine tuples or None) and target-group elements (tuples)
-    are hashable; aggregate_proof keys on weight signatures to fold pairings.
+    are hashable; aggregate_proof keys on weight signatures to fold pairings
+    and multiplies each fold group's slice signatures with g_prod, one
+    inversion per group.
     """
 
     name = "pairing"
@@ -286,6 +278,45 @@ class PairingBackend:
             a >>= WINDOW
             if not a:
                 break
+        return _jac_to_affine(acc)
+
+    def g_pow_offsets(self, base: int, offsets) -> list:
+        """[g^(base + o) for o in offsets] from one g_pow(base).
+
+        Each offset adds the table digits of |o| (y negated for o < 0) into a
+        Jacobian accumulator that starts at g^base; all results turn affine
+        with one inversion, and an identity result (o = -base) is None.
+        Offsets are taken mod the order into (-order/2, order/2], so any
+        integer is in the table's range.
+        """
+        start = self.g_pow(base)
+        order, mask = self.order, 2**WINDOW - 1
+        accs = []
+        for o in offsets:
+            o %= order
+            negate = o > order >> 1
+            if negate:
+                o = order - o
+            acc = None if start is None else (start[0], start[1], 1)
+            for row in self._table:
+                if not o:
+                    break
+                digit = o & mask
+                if digit:
+                    x, y = row[digit - 1]
+                    acc = _jac_add_affine(acc, (x, Q_FIELD - y) if negate else (x, y))
+                o >>= WINDOW
+            accs.append(acc)
+        affine = iter(_batch_to_affine([a for a in accs if a is not None]))
+        return [None if a is None else next(affine) for a in accs]
+
+    def g_prod(self, elements):
+        """The product of group elements: mixed Jacobian additions, one
+        inversion."""
+        acc = None
+        for p in elements:
+            if p is not None:
+                acc = _jac_add_affine(acc, p)
         return _jac_to_affine(acc)
 
     def g_mul(self, x, y):

@@ -461,10 +461,11 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), 
 def _exchange(group: _Group, bus) -> None:
     """Stage 2, share exchange: the leader sends invites, the plan and the
     server's roster; every member sends its key share and signatures. Every
-    live member takes its invite and plan, encodes its bundle and sends one
-    share per member, keeping its share to itself. After the leader's weight
-    signatures, each aggregates the shares it holds under the blinded weights
-    of its plan and sends the aggregate, naming their senders, to the server."""
+    live member takes its invite and plan, encodes its bundle under the plan's
+    Lagrange coefficients and sends one share per plan member, keeping its
+    share to itself. After the leader's weight signatures, each aggregates
+    the shares it holds under the blinded weights of its plan and sends the
+    aggregate, naming their senders, to the server."""
     cfg, plan, perf = group.cfg, group.plan, group.perf
     leader, send = plan.leader, bus.send
     for member in plan.members:
@@ -488,9 +489,9 @@ def _exchange(group: _Group, bus) -> None:
             continue
         bus.take(member, GROUP_INVITE, leader)
         [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
-        plans[member] = taken.payload
+        mine = plans[member] = taken.payload
         with perf.timer("follower", "encode"):
-            shares = coding.encode(group.bundles[member], plan, sender=member)
+            shares = coding.encode(group.bundles[member], mine["lagrange"], mine["members"], sender=member)
         for share in shares:
             if share.receiver == member:
                 own[member] = share

@@ -71,6 +71,13 @@ class MockBackend:
     def g_pow(self, a: int):
         return a % self.order
 
+    def g_pow_offsets(self, base: int, offsets) -> list:
+        start = self.g_pow(base)
+        return [(start + o) % self.order for o in offsets]
+
+    def g_prod(self, elements):
+        return sum(elements) % self.order
+
     def g_mul(self, x: int, y: int):
         return (x + y) % self.order
 
@@ -105,8 +112,11 @@ def gen_key(backend, rng) -> PrivateKey:
 
 
 def sign_logits(digests, key: PrivateKey, q: int, backend) -> list:
-    """One group element per slice: g^(digest-at-scale-q + key)."""
-    return [backend.g_pow((_grid_int(v, q, "digest") + key.upsilon) % backend.order) for v in digests]
+    """One group element per slice: g^(digest-at-scale-q + key).
+
+    All slices share the key, so the backend computes the full-width power
+    g^key once and shifts it by each short integer digest (g_pow_offsets)."""
+    return backend.g_pow_offsets(key.upsilon, [_grid_int(v, q, "digest") for v in digests])
 
 
 def quantize_weight(w: float, q: int) -> int:
@@ -138,7 +148,9 @@ def aggregate_proof(aux: AuxProofs, backend) -> Proof:
 
     Members whose weight signatures are equal share one pairing, by
     bilinearity: prod_z e(A_z, W) = e(prod_z A_z, W). Uniform plan weights
-    thus need one pairing per group. Group elements must be hashable.
+    thus need one pairing per group. Each such fold group's slice signatures
+    are multiplied in one backend product (g_prod), which on the pairing
+    backend costs one inversion per group. Group elements must be hashable.
     """
     if set(aux.logits_sigs) != set(aux.weight_sigs):
         raise IncompleteAux(
@@ -146,14 +158,12 @@ def aggregate_proof(aux: AuxProofs, backend) -> Proof:
         )
     if not aux.logits_sigs:
         raise IncompleteAux("no signature material")
-    folded = {}  # weight signature -> product of its members' slice signatures
+    folded = {}  # weight signature -> its members' slice signatures
     for member in sorted(aux.logits_sigs):
-        w = aux.weight_sigs[member]
-        for s in aux.logits_sigs[member]:
-            folded[w] = backend.g_mul(folded[w], s) if w in folded else s
+        folded.setdefault(aux.weight_sigs[member], []).extend(aux.logits_sigs[member])
     pi = backend.gt_identity
-    for w, combined in folded.items():
-        pi = backend.gt_mul(pi, backend.pair(combined, w))
+    for w, sigs in folded.items():
+        pi = backend.gt_mul(pi, backend.pair(backend.g_prod(sigs), w))
     return Proof(pi_c=pi)
 
 

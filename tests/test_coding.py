@@ -120,7 +120,7 @@ class TestEncode:
         rng = np.random.default_rng(4)
         plan = make_group_plan(0, [1, 2, 3], 1, 0, (2, 2), rng)
         b = split(np.array([[1.0, 2.0], [3.0, 4.0]]), 1, "class")
-        shares = [sh for sh in encode(b, plan, sender=9)]
+        shares = [sh for sh in encode(b, plan.lagrange, plan.members, sender=9)]
         for sh in shares:
             np.testing.assert_allclose(sh.payload, b.slices[0], atol=1e-12)
             assert sh.sender == 9
@@ -148,7 +148,7 @@ class TestEncode:
         logits = rng.uniform(-5, 5, (3, 3))
         b = blind(split(logits, k, "class", rng=rng), t, 10.0, 6.0, rng)
         blocks = b.blocks()
-        shares = encode(b, plan, sender=0)
+        shares = encode(b, plan.lagrange, plan.members, sender=0)
         for x, sh in enumerate(shares):
             alpha = plan.nodes.alphas[x]
             want = np.zeros((3, 3), dtype=complex)
@@ -165,7 +165,7 @@ class TestEncode:
         plan = make_group_plan(0, [1, 2], 2, 1, (2, 2), rng)
         b = split(np.eye(2), 1, "class")
         with pytest.raises(ShapeMismatch):
-            encode(b, plan, sender=0)
+            encode(b, plan.lagrange, plan.members, sender=0)
 
 
 class TestLocalAggregate:
@@ -254,7 +254,7 @@ class TestDegreeOneAggregate:
         rng = np.random.default_rng(25)
         plan = make_group_plan(9, range(6), 2, 1, self.shape, rng)
         bundles = [blind(split(rng.uniform(-10, 10, (8, 3)), 2, "sample"), 1, 100.0, 6.0, rng) for _ in range(6)]
-        inbox = [encode(b, plan, sender=z)[3] for z, b in enumerate(bundles)]
+        inbox = [encode(b, plan.lagrange, plan.members, sender=z)[3] for z, b in enumerate(bundles)]
         self.assert_matches_reference(inbox, dict(zip(plan.members, plan.blinded_weights)))
 
     def test_missing_share_and_empty_view_still_raise(self):
@@ -285,7 +285,7 @@ class TestDecode:
         }
         inbox = {x: [] for x in range(r)}
         for z in range(r):
-            for sh in encode(bundles[z], plan, sender=z):
+            for sh in encode(bundles[z], plan.lagrange, plan.members, sender=z):
                 inbox[sh.receiver].append(sh)
         view = {z: plan.blinded_weights[z] for z in range(r)}
         aggs = [(x, local_aggregate(inbox[x], view, monomial(1), holder=x).payload) for x in range(r)]

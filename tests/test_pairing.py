@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from svafd.pairing import (
     COFACTOR,
@@ -7,11 +8,28 @@ from svafd.pairing import (
     ORDER,
     Q_FIELD,
     PairingBackend,
+    _jac_add_affine,
+    _jac_double,
+    _jac_to_affine,
     ec_add,
-    ec_mul,
     ec_neg,
     tate_pairing,
 )
+
+
+def ec_mul(n: int, p) -> tuple | None:
+    """Scalar multiplication, left-to-right Jacobian double-and-add over a
+    fixed affine base (single inversion at the end)."""
+    if p is None or n == 0:
+        return None
+    if n < 0:
+        return ec_mul(-n, ec_neg(p))
+    acc = None
+    for bit in bin(n)[2:]:
+        acc = _jac_double(acc)
+        if bit == "1":
+            acc = _jac_add_affine(acc, p)
+    return _jac_to_affine(acc)
 
 
 def test_parameters_consistent():
@@ -145,3 +163,50 @@ def test_fixed_base_table_window_edges():
     backend = PairingBackend()
     for a in (1, 15, 16, 31, 32, 255, 2**160 - 1, ORDER - 1, ORDER + 1):
         assert backend.g_pow(a) == ec_mul(a % ORDER, GENERATOR), a
+
+
+@pytest.fixture(scope="module")
+def backend():
+    return PairingBackend()
+
+
+def test_pow_offsets_match_per_offset_powers(backend):
+    rng = np.random.default_rng(3)
+    bases = [int.from_bytes(rng.bytes(24), "big") % ORDER for _ in range(4)] + [0, 1, ORDER - 1]
+    for base in bases:
+        offsets = [int(o) for o in rng.integers(-(2**62), 2**62, 6)]
+        offsets += [0, 1, -1, 2**62, -(2**62), -base, base, ORDER - base, 31, -32, 2**165 + 7]
+        got = backend.g_pow_offsets(base, offsets)
+        assert got == [backend.g_pow((base + o) % ORDER) for o in offsets], base
+
+
+def test_pow_offsets_identity_and_doubling(backend):
+    base = 123456789
+    # o = -base and o = ORDER - base give the identity; o = base doubles g^base
+    identity, doubled, shifted = backend.g_pow_offsets(base, [-base, base, ORDER - base + 5])
+    assert identity is None
+    assert doubled == ec_add(backend.g_pow(base), backend.g_pow(base))
+    assert shifted == backend.g_pow(5)
+    assert backend.g_pow_offsets(0, [0]) == [None]
+    assert backend.g_pow_offsets(base, []) == []
+
+
+def test_product_matches_addition_chain(backend):
+    rng = np.random.default_rng(4)
+    points = [backend.g_pow(int.from_bytes(rng.bytes(24), "big")) for _ in range(6)]
+    p = points[0]
+    cases = [
+        [],
+        [None],
+        [p],
+        [p, ec_neg(p)],                        # P * P^-1 = identity
+        [p, p],                                # doubling
+        [p, ec_neg(p), points[1]],             # restarts after the identity
+        [None, p, None, p, points[2], ec_neg(points[2])],
+        points + [None] + points[::-1],
+    ]
+    for elements in cases:
+        want = None
+        for e in elements:
+            want = ec_add(want, e)
+        assert backend.g_prod(elements) == want, elements

@@ -537,7 +537,16 @@ class TestBusMutation:
     def shift_key(self, member):
         return (KEY_SHARE, member, self.LEADER, None), lambda payload: {"upsilon": payload["upsilon"] + 1}
 
-    @pytest.mark.parametrize("attack", ["shift_aggregate", "shift_key"])
+    def shift_lagrange(self, member):
+        # the member encodes under the coefficients of the plan it took
+        def mutate(payload):
+            lagrange = payload["lagrange"].copy()
+            lagrange[0, 0] += 1.0
+            return {**payload, "lagrange": lagrange}
+
+        return (PLAN_DISTRIBUTION, self.LEADER, member, self.LEADER), mutate
+
+    @pytest.mark.parametrize("attack", ["shift_aggregate", "shift_key", "shift_lagrange"])
     def test_mutated_message_rejects_only_its_group(self, attack, monkeypatch):
         cfg = small_cfg()
         provider = workload_provider(cfg, alpha=1.0, samples=150)

@@ -117,6 +117,41 @@ class TestSignLogits:
         assert sigs == direct
 
 
+class TestMockGroupOps:
+    def test_pow_offsets_match_per_offset_powers(self):
+        rng = np.random.default_rng(12)
+        for base in [int(b) for b in rng.integers(0, MOCK.order, 4)] + [0, MOCK.order - 1]:
+            offsets = [int(o) for o in rng.integers(-(2**62), 2**62, 6)]
+            offsets += [0, -base, base, MOCK.order - base, 2**62, -(2**62)]
+            got = MOCK.g_pow_offsets(base, offsets)
+            assert got == [MOCK.g_pow((base + o) % MOCK.order) for o in offsets]
+        assert MOCK.g_pow_offsets(7, [-7]) == [MOCK.g_pow(0)]
+        assert MOCK.g_pow_offsets(7, []) == []
+
+    def test_product_matches_addition_chain(self):
+        p = MOCK.g_pow(2**60 + 3)
+        inverse = MOCK.g_pow(-(2**60 + 3))
+        for elements in ([], [p], [p, inverse], [p, p], [p, 0, inverse, 5], [p] * 9):
+            want = 0
+            for e in elements:
+                want = MOCK.g_mul(want, e)
+            assert MOCK.g_prod(elements) == want, elements
+
+
+class TestSignLogitsCost:
+    @pytest.mark.parametrize("name", ["mock", "pairing"])
+    def test_one_full_width_power_per_signer(self, name, monkeypatch):
+        backend = get_backend(name)
+        calls = []
+        full_width = type(backend).g_pow
+        monkeypatch.setattr(type(backend), "g_pow", lambda self, a: calls.append(a) or full_width(self, a))
+        for k in (1, 3, 40):
+            calls.clear()
+            sigs = sign_logits([float(v) for v in range(-k, k, 2)], PrivateKey(41), 0, backend)
+            assert len(sigs) == k
+            assert calls == [41]
+
+
 class TestAggregateProof:
     def test_single_member_hand_value(self):
         aux = AuxProofs(
