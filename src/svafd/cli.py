@@ -14,14 +14,16 @@ columns except wall times are byte-deterministic given config and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import coding
 from .config import ExperimentConfig, load_config
-from .protocol import PerfRecorder, run_campaign, run_round, run_single_group, workload_provider
+from .protocol import PerfRecorder, run_round, run_single_group, workload_provider
 from .sigcrypto import get_backend
 from .threats import CLIENT_KINDS, TAMPER_KINDS, AttackSpec, inject_tamper, poison_provider, score_filtration
 
@@ -51,22 +53,34 @@ def _provider_for(cfg: ExperimentConfig, round_cfg):
     )
 
 
-def cmd_table_error(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    table = run_campaign(
-        cfg.sweep_n,
-        cfg.sweep_k,
-        cfg.sweep_t,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        grain=cfg.grain,
-        d=cfg.d,
-        batch=cfg.batch,
-        q=cfg.q,
-        sigma=cfg.sigma,
-        theta=cfg.theta,
-        radius=cfg.radius,
+def _group_params(cfg: ExperimentConfig) -> dict:
+    """The `run_single_group` keywords an experiment fixes for every group;
+    sample grain takes `batch` rows per slice (pool size = batch * k)."""
+    return dict(
+        grain=cfg.grain, d=cfg.d, omega=cfg.batch, q=cfg.q, sigma=cfg.sigma, theta=cfg.theta, radius=cfg.radius,
         f_degree=cfg.f_degree,
     )
+
+
+def error_table(cfg: ExperimentConfig) -> dict:
+    """Mean log10 relative error per (n, k, t) cell of the sweep over
+    cfg.reps seeded single-group runs; None for a cell the achievability
+    gate marks infeasible."""
+    table = {}
+    for n, k, t in itertools.product(cfg.sweep_n, cfg.sweep_k, cfg.sweep_t):
+        if not coding.check_achievable(n, k, t, cfg.f_degree).feasible:
+            table[(n, k, t)] = None
+            continue
+        logs = [
+            np.log10(run_single_group(n, k, t, seed=[cfg.seed, n, k, t, rep], **_group_params(cfg)).rel_error)
+            for rep in range(cfg.reps)
+        ]
+        table[(n, k, t)] = float(np.mean(logs))
+    return table
+
+
+def cmd_table_error(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    table = error_table(cfg)
     combos = [(k, t) for k in cfg.sweep_k for t in cfg.sweep_t]
     header = ["n"] + [f"k{k}_t{t}" for k, t in combos]
     rows = []
@@ -86,20 +100,7 @@ def cmd_timing(cfg: ExperimentConfig, out_dir: Path) -> Path:
         perf = PerfRecorder()
         for rep in range(cfg.reps):
             run_single_group(
-                cfg.n,
-                k,
-                cfg.t,
-                grain=cfg.grain,
-                d=cfg.d,
-                omega=cfg.batch,
-                q=cfg.q,
-                sigma=cfg.sigma,
-                theta=cfg.theta,
-                radius=cfg.radius,
-                f_degree=cfg.f_degree,
-                seed=[cfg.seed, k, rep],
-                backend=backend,
-                perf=perf,
+                cfg.n, k, cfg.t, seed=[cfg.seed, k, rep], backend=backend, perf=perf, **_group_params(cfg)
             )
         for stat in perf.rows():
             rows.append(

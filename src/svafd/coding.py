@@ -205,7 +205,7 @@ def make_group_plan(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EncodedShare:
     sender: int
     receiver: int

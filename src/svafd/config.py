@@ -36,7 +36,7 @@ Keys and defaults:
     sweep_k = 10,20,30
     sweep_t = 10,20,30
     reps = 5
-    batch = 32          sample-grain rows per slice in campaign cells
+    batch = 32          sample-grain rows per slice in table-error and timing groups
 
   attacks
     attacks = random_logits            kinds for the attack suite
@@ -92,8 +92,8 @@ class ExperimentConfig:
     tamper_delta: float = 1e-3
     out_dir: str = "out"
 
-    def round_config(self, **overrides) -> RoundConfig:
-        params = dict(
+    def round_config(self) -> RoundConfig:
+        return RoundConfig(
             n=self.n,
             r=self.r,
             k=self.k,
@@ -112,8 +112,6 @@ class ExperimentConfig:
             backend=self.backend,
             leader_in_group=self.leader_in_group,
         )
-        params.update(overrides)
-        return RoundConfig(**params)
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}

@@ -367,11 +367,17 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
     `MessageBus.mutations` is; empty for any other group. Unspecified targets
     default to the group's first live members: a share tamper hits live[0]'s
     share to live[1], a weight tamper skews live[1]'s weight in live[0]'s
-    plan, and a server tamper moves an entry of the first decoded slice."""
+    plan, and a server tamper moves an entry of the first decoded slice.
+
+    A tamper that would hit no message raises ValueError: a share tamper
+    whose sender is not live, whose receiver is not a plan member or whose
+    sender is its receiver (that share never crosses the bus), and a weight
+    tamper on the plan of a member that is not live (it takes no plan)."""
     leader = plan.leader
-    if tamper is None or tamper.leader != leader or not live:
+    if tamper is None or tamper.leader != leader:
         return {}
-    first, second = live[0], live[1] if len(live) > 1 else live[0]
+    first = live[0] if live else None
+    second = live[1] if len(live) > 1 else first
     entry, delta = tamper.entry, tamper.delta
     if tamper.kind == "share_tamper":
 
@@ -383,8 +389,13 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
 
         sender = first if tamper.sender is None else tamper.sender
         receiver = second if tamper.member is None else tamper.member
+        if sender not in live or receiver not in plan.members or sender == receiver:
+            raise ValueError(f"share tamper {sender} -> {receiver} hits no message (group {leader}, live {live})")
         return {(SHARE, sender, receiver, leader): mutate}
     if tamper.kind == "weight_tamper":
+        member = first if tamper.member is None else tamper.member
+        if member not in live:
+            raise ValueError(f"weight tamper on {member}'s plan hits no message (group {leader}, live {live})")
         target = second if tamper.sender is None else tamper.sender
         x = plan.members.index(target if target in live else first)
 
@@ -393,7 +404,6 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
             weights[x] = weights[x] + delta * plan.blind_factor
             return {**payload, "blinded_weights": weights}
 
-        member = first if tamper.member is None else tamper.member
         return {(PLAN_DISTRIBUTION, leader, member, leader): mutate}
     if tamper.kind == "server_tamper":
 
@@ -628,9 +638,9 @@ def run_single_group(
     logits: dict | None = None,
 ) -> GroupResult:
     """One group's pipeline outside a round, over a fresh bus: the
-    relative-error measurement path for campaign cells, and the stage-timing
-    path when a backend is given (signatures, proof and verification
-    included)."""
+    relative-error measurement path for the error table's cells, and the
+    stage-timing path when a backend is given (signatures, proof and
+    verification included)."""
     if backend is not None and f_degree != 1:
         raise ValueError("proof verification covers degree-1 aggregation only")
     rng = np.random.default_rng([seed, r, k, t] if isinstance(seed, int) else seed)
@@ -648,53 +658,6 @@ def run_single_group(
     bus = MessageBus(RoundTranscript(config_digest=""))
     _exchange(group, bus)
     return _conclude(group, bus)
-
-
-def run_campaign(
-    sweep_n,
-    sweep_k,
-    sweep_t,
-    reps: int = 5,
-    seed: int = 0,
-    *,
-    grain: str = "sample",
-    d: int = 10,
-    batch: int = 32,
-    q: int = 3,
-    sigma: float = 1e3,
-    theta: float = 6.0,
-    radius: float = 1.0,
-    f_degree: int = 1,
-) -> dict:
-    """Mean log10 relative error per (n, k, t) cell over seeded repetitions;
-    infeasible cells map to None. Sample grain uses one batch of rows per
-    slice (pool size = batch * k)."""
-    table = {}
-    for n in sweep_n:
-        for k in sweep_k:
-            for t in sweep_t:
-                if not coding.check_achievable(n, k, t, f_degree).feasible:
-                    table[(n, k, t)] = None
-                    continue
-                logs = []
-                for rep in range(reps):
-                    res = run_single_group(
-                        n,
-                        k,
-                        t,
-                        grain=grain,
-                        d=d,
-                        omega=batch,
-                        q=q,
-                        sigma=sigma,
-                        theta=theta,
-                        radius=radius,
-                        f_degree=f_degree,
-                        seed=[seed, n, k, t, rep],
-                    )
-                    logs.append(np.log10(res.rel_error))
-                table[(n, k, t)] = float(np.mean(logs))
-    return table
 
 
 def membership_update(topology: filtration.Topology, joins, leaves) -> filtration.Topology:

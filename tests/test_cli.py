@@ -1,8 +1,15 @@
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from svafd.cli import cmd_attack_suite, cmd_single_round, cmd_table_error, cmd_timing, main
+from svafd import cli
+from svafd.cli import cmd_attack_suite, cmd_single_round, cmd_table_error, cmd_timing, error_table, main
 from svafd.config import ExperimentConfig, load_config, parse_config
+from svafd.protocol import PerfRecorder
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestConfigParsing:
@@ -91,6 +98,72 @@ class TestTableError:
         a = cmd_table_error(cfg, tmp_path / "a").read_bytes()
         b = cmd_table_error(cfg, tmp_path / "b").read_bytes()
         assert a == b
+
+
+    @staticmethod
+    def sweep(sweep_n, sweep_k, sweep_t, **overrides):
+        return ExperimentConfig(sweep_n=sweep_n, sweep_k=sweep_k, sweep_t=sweep_t, grain="sample", **overrides)
+
+    def test_grid_marks_infeasible(self):
+        table = error_table(self.sweep((12, 4), (2,), (1, 3), reps=2, seed=0, d=5, batch=4))
+        assert table[(4, 2, 3)] is None  # threshold 5 > 4
+        assert table[(12, 2, 1)] <= -6
+        assert table[(12, 2, 3)] <= -6
+
+    def test_table_deterministic(self):
+        a = error_table(self.sweep((10,), (2,), (2,), reps=2, seed=9, d=4, batch=4))
+        b = error_table(self.sweep((10,), (2,), (2,), reps=2, seed=9, d=4, batch=4))
+        assert a == b
+
+    def test_wider_anchor_circle_also_precise(self):
+        # the circle radius is a knob: the error target must hold at 1.15 too
+        table = error_table(self.sweep((20,), (3,), (3,), reps=2, seed=2, d=6, batch=8, radius=1.15))
+        assert table[(20, 3, 3)] <= -6
+
+
+class TestGroupParams:
+    """Both sweeps hand every group the config's eight group fields."""
+
+    FIELDS = dict(grain="sample", d=7, batch=5, q=4, sigma=500.0, theta=5.0, radius=1.1, f_degree=2)
+    KEYWORDS = dict(grain="sample", d=7, omega=5, q=4, sigma=500.0, theta=5.0, radius=1.1, f_degree=2)
+
+    def test_every_group_gets_the_config_fields(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(r, k, t, **kwargs):
+            calls.append(((r, k, t), kwargs))
+            return SimpleNamespace(rel_error=1e-9)
+
+        monkeypatch.setattr(cli, "run_single_group", record)
+        cfg = tiny_cfg(sweep_n=(8,), sweep_k=(1, 2), sweep_t=(1,), **self.FIELDS)
+        assert all(getattr(cfg, f) != getattr(ExperimentConfig(), f) for f in self.FIELDS)
+        cmd_table_error(cfg, tmp_path)
+        table_calls = [((8, k, 1), [cfg.seed, 8, k, 1, rep]) for k in (1, 2) for rep in range(cfg.reps)]
+        assert [(shape, kwargs.pop("seed")) for shape, kwargs in calls] == table_calls
+        assert all(kwargs == self.KEYWORDS for _, kwargs in calls)
+
+        calls.clear()
+        cmd_timing(cfg, tmp_path)
+        timing_calls = [((cfg.n, k, cfg.t), [cfg.seed, k, rep]) for k in (1, 2) for rep in range(cfg.reps)]
+        assert [(shape, kwargs.pop("seed")) for shape, kwargs in calls] == timing_calls
+        for _, kwargs in calls:
+            assert kwargs.pop("backend") is not None and isinstance(kwargs.pop("perf"), PerfRecorder)
+            assert kwargs == self.KEYWORDS
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name)
+    def test_parses(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
+
+    @pytest.mark.parametrize("name", ["demo_round.cfg", "attack_suite.cfg"])
+    def test_round_config_validates(self, name):
+        load_config(CONFIGS / name).round_config().validate()
+
+    def test_table_error_cell(self):
+        cfg = load_config(CONFIGS / "table_error.cfg")
+        cfg.sweep_n, cfg.sweep_k, cfg.sweep_t, cfg.reps = (50,), (10,), (10,), 1
+        assert error_table(cfg)[(50, 10, 10)] <= -6
 
 
 class TestTiming:

@@ -25,7 +25,6 @@ from svafd.protocol import (
     PerfRecorder,
     RoundConfig,
     membership_update,
-    run_campaign,
     run_round,
     run_single_group,
     workload_provider,
@@ -238,22 +237,6 @@ class TestSingleGroupAndCampaign:
         res = run_single_group(20, 3, 2, grain="sample", d=6, omega=8, seed=4)
         assert res.rel_error <= 1e-6
         assert res.teacher.shape == (24, 6)
-
-    def test_campaign_grid_marks_infeasible(self):
-        table = run_campaign([12, 4], [2], [1, 3], reps=2, seed=0, d=5, batch=4)
-        assert table[(4, 2, 3)] is None  # threshold 5 > 4
-        assert table[(12, 2, 1)] <= -6
-        assert table[(12, 2, 3)] <= -6
-
-    def test_campaign_deterministic(self):
-        a = run_campaign([10], [2], [2], reps=2, seed=9, d=4, batch=4)
-        b = run_campaign([10], [2], [2], reps=2, seed=9, d=4, batch=4)
-        assert a == b
-
-    def test_wider_anchor_circle_also_precise(self):
-        # the circle radius is a knob: the error target must hold at 1.15 too
-        table = run_campaign([20], [3], [3], reps=2, seed=2, d=6, batch=8, radius=1.15)
-        assert table[(20, 3, 3)] <= -6
 
 
 def _reference_feed(h, obj):
@@ -564,6 +547,44 @@ class TestBusMutation:
         assert hit == [key]
         for leader, res in transcript.group_results.items():
             assert res.verdict == ("reject" if leader == self.LEADER else "accept"), leader
+
+
+class TestTamperHitsAMessage:
+    """A tamper that would hit no message is refused. Straggler 3 leaves
+    groups 0, 1 and 2 (members (1, 3), (3, 0), (3, 0)) with one live member;
+    group 3's members (2, 1) are both live."""
+
+    SHAPE = dict(n=4, r=2, k=1, t=0, straggler_ids=frozenset({3}))
+
+    def run(self, kind, leader, **params):
+        tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3, **params}), leader=leader)
+        cfg = small_cfg(**self.SHAPE)
+        return run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=tamper)
+
+    def test_honest_groups(self):
+        _, transcript = run_small(**self.SHAPE)
+        assert transcript.topology.groups == {0: [1, 3], 1: [3, 0], 2: [3, 0], 3: [2, 1]}
+        assert all(res.verdict == "accept" for res in transcript.group_results.values())
+
+    @pytest.mark.parametrize("leader", [0, 1, 2])
+    def test_default_share_tamper_with_one_live_member(self, leader):
+        # the lone live member's share to itself never crosses the bus
+        with pytest.raises(ValueError, match="hits no message"):
+            self.run("share_tamper", leader)
+
+    @pytest.mark.parametrize("params", [{"sender": 3}, {"member": 0}])
+    def test_share_tamper_outside_the_live_plan(self, params):
+        with pytest.raises(ValueError, match="hits no message"):
+            self.run("share_tamper", 3, **params)
+
+    @pytest.mark.parametrize("leader, member", [(0, 3), (3, 0)])
+    def test_weight_tamper_on_a_member_that_takes_no_plan(self, leader, member):
+        with pytest.raises(ValueError, match="hits no message"):
+            self.run("weight_tamper", leader, member=member)
+
+    @pytest.mark.parametrize("kind, leader", [("share_tamper", 3), ("weight_tamper", 0), ("weight_tamper", 1)])
+    def test_tamper_on_a_live_member_rejects(self, kind, leader):
+        assert self.run(kind, leader).group_results[leader].verdict == "reject"
 
 
 def horner_oracle(bundles, weights, f_coeffs, grain, k):
