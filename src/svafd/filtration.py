@@ -157,13 +157,18 @@ def intimacy_matrix(hashed: dict[int, HashedCal]) -> np.ndarray:
 
 def select_group(ilist: IntimacyList, r: int) -> list[int]:
     """Ids of the r highest-scoring candidates, owner excluded; ties broken
-    by ascending client id. Output is in descending-score order."""
-    n = len(ilist.scores)
+    by ascending client id. Output is in descending-score order.
+
+    One lexsort over (-score, id) with the owner masked out: ids are
+    distinct, so the order is total and equals sorting by (-score, id)."""
+    scores = np.asarray(ilist.scores)
+    n = len(scores)
     if r > n - 1:
         raise RTooLarge(f"r={r} but only {n - 1} candidates")
-    candidates = [i for i in range(n) if i != ilist.owner]
-    candidates.sort(key=lambda i: (-ilist.scores[i], i))
-    return candidates[:r]
+    ids = np.arange(n)
+    ids = ids[ids != ilist.owner]
+    order = np.lexsort((ids, -scores[ids]))
+    return ids[order[:r]].tolist()
 
 
 @dataclass(frozen=True)

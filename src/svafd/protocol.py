@@ -1,11 +1,13 @@
 """Round orchestration over a simulated message bus.
 
-A round runs filtration (clients exchange hashed knowledge fingerprints and
-each selects the group it leads), then one group protocol per leader. That
-protocol is written once, as three stages over a `_Group` state: `_prepare`
-(the plan; members quantize, split, blind and sign), `_exchange` (encode,
-deliver shares, aggregate) and `_conclude` (decode, proof, deblind, verify;
-"insufficient" below the interpolation threshold).
+A round runs filtration, then one group protocol per leader. In filtration
+each client sends its hashed knowledge fingerprint once, to the `BROADCAST`
+pseudo-receiver, and every client selects the group it leads by scoring the
+fingerprints taken from there, so a fingerprint altered in flight moves the
+groups. The group protocol is written once, as three stages over a `_Group`
+state: `_prepare` (the plan; members quantize, split, blind and sign),
+`_exchange` (encode, deliver shares, aggregate) and `_conclude` (decode,
+proof, deblind, verify; "insufficient" below the interpolation threshold).
 
 `_exchange` and `_conclude` send and take the group's messages themselves,
 through the `MessageBus`'s `send` and `take`: `run_round` passes the round's
@@ -19,8 +21,7 @@ and the decoded result. A tamper enters at one point, as a mutation that
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
 shares and no aggregates and take nothing as members, so after a round only
-the fingerprint broadcast and the member messages addressed to stragglers
-stay filed.
+the member messages addressed to stragglers stay filed.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from . import coding, filtration, sigcrypto
 from .numerics import make_nodes, relative_error
 
 SERVER = -1
+BROADCAST = -2  # pseudo-receiver of a message every client reads
 
 # message kinds, each bound to one stage
 HASHED_CAL = "hashed_cal"
@@ -215,10 +217,10 @@ class RoundTranscript:
         """One JSON line per message (sorted keys, payload as its SHA-256),
         then one per group result in leader order.
 
-        A payload sent to many receivers (the fingerprint broadcast) is
-        digested once per call: digests are memoized by id(payload), which
-        is sound because the transcript keeps every payload alive for the
-        whole call. The memo is local, so a later export re-digests
+        A payload sent to many receivers (a group's plan, sent to every
+        member) is digested once per call: digests are memoized by
+        id(payload), which is sound because the transcript keeps every
+        payload alive for the whole call. The memo is local, so a later export re-digests
         everything and sees any message appended since.
         """
         digests: dict[int, str] = {}
@@ -262,9 +264,9 @@ class MessageBus:
     Inboxes are indexed by (receiver, kind, leader), where leader is the
     payload's "leader" entry (None for payloads without one), so `take`
     pops exactly one group's messages of one kind without scanning or
-    requeueing anyone else's. Every party takes what it acts on; only the
-    fingerprint broadcast and the member messages addressed to stragglers
-    stay filed.
+    requeueing anyone else's. Every party takes what it acts on: the
+    fingerprint broadcast is taken once, from `BROADCAST`, and only the
+    member messages addressed to stragglers stay filed.
 
     `mutations` is the one point where a tamper enters: it maps (kind,
     sender, receiver, leader) to a function that returns the payload to
@@ -370,9 +372,11 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
     plan, and a server tamper moves an entry of the first decoded slice.
 
     A tamper that would hit no message raises ValueError: a share tamper
-    whose sender is not live, whose receiver is not a plan member or whose
-    sender is its receiver (that share never crosses the bus), and a weight
-    tamper on the plan of a member that is not live (it takes no plan)."""
+    whose sender is not live, whose receiver is not live (a straggler takes
+    no share) or whose sender is its receiver (that share never crosses the
+    bus), and a weight tamper on the plan of a member that is not live (it
+    takes no plan) or on the weight of a sender that is not live (no share
+    of it is aggregated under that weight)."""
     leader = plan.leader
     if tamper is None or tamper.leader != leader:
         return {}
@@ -389,15 +393,17 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
 
         sender = first if tamper.sender is None else tamper.sender
         receiver = second if tamper.member is None else tamper.member
-        if sender not in live or receiver not in plan.members or sender == receiver:
+        if sender not in live or receiver not in live or sender == receiver:
             raise ValueError(f"share tamper {sender} -> {receiver} hits no message (group {leader}, live {live})")
         return {(SHARE, sender, receiver, leader): mutate}
     if tamper.kind == "weight_tamper":
         member = first if tamper.member is None else tamper.member
-        if member not in live:
-            raise ValueError(f"weight tamper on {member}'s plan hits no message (group {leader}, live {live})")
         target = second if tamper.sender is None else tamper.sender
-        x = plan.members.index(target if target in live else first)
+        if member not in live or target not in live:
+            raise ValueError(
+                f"weight tamper on {target}'s weight in {member}'s plan hits no message (group {leader}, live {live})"
+            )
+        x = plan.members.index(target)
 
         def mutate(payload):
             weights = payload["blinded_weights"].copy()
@@ -585,17 +591,15 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     # --- filtration ---------------------------------------------------
     proj_seed = int(np.random.default_rng([cfg.seed, 101]).integers(2**63))
     lsh_cfg = filtration.LshConfig(projection_seed=proj_seed, p=cfg.p)
-    matrices, hashed = {}, {}
+    matrices = {}
     for cid in clients:
         samples, matrix = logits_provider(cid)
         matrices[cid] = np.asarray(matrix, dtype=float)
         cal = filtration.compute_cal(samples)
-        hashed[cid] = filtration.lsh_project(cal, lsh_cfg)
-    for cid in clients:
-        for other in clients:
-            if other != cid:
-                bus.send(HASHED_CAL, cid, other, hashed[cid])
-    scores = filtration.intimacy_matrix(hashed)
+        bus.send(HASHED_CAL, cid, BROADCAST, filtration.lsh_project(cal, lsh_cfg))
+    # every client scores the fingerprints that crossed the bus
+    delivered = {m.sender: m.payload for m in bus.take(BROADCAST, HASHED_CAL)}
+    scores = filtration.intimacy_matrix(delivered)
     groups = {
         cid: filtration.select_group(filtration.IntimacyList(cid, scores[cid]), cfg.r) for cid in clients
     }

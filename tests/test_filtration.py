@@ -153,6 +153,24 @@ class TestSelectGroup:
         oracle = sorted((i for i in range(100) if i != 17), key=lambda i: (-scores[i], i))[:30]
         assert got == oracle
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sort_oracle_with_ties_and_signed_zeros(self, seed):
+        # scores drawn from a few values, so most candidates tie; 0.0 and
+        # -0.0 compare equal and must tie too, broken by ascending id
+        rng = np.random.default_rng(seed)
+        n = 200
+        scores = rng.choice([0.75, 0.5, 0.0, -0.0, -0.5, 1.0], size=n)
+        scores[rng.choice(n, 20, replace=False)] = rng.uniform(-1, 1, 20)
+        owner = n // 2
+        for r in (0, 1, 10, n // 2, n - 1):
+            got = select_group(IntimacyList(owner=owner, scores=scores), r)
+            oracle = sorted((i for i in range(n) if i != owner), key=lambda i: (-scores[i], i))[:r]
+            assert got == oracle
+            assert all(type(i) is int for i in got)
+        assert sorted(select_group(IntimacyList(owner=owner, scores=scores), n - 1)) == [
+            i for i in range(n) if i != owner
+        ]
+
     def test_invariant_under_positive_rescale(self):
         rng = np.random.default_rng(9)
         scores = rng.uniform(0.01, 1, size=20)

@@ -10,6 +10,7 @@ from svafd.filtration import Topology, build_topology, intimacy_list, select_gro
 from svafd.protocol import (
     AGGREGATED_SHARE,
     AUX_PROOF,
+    BROADCAST,
     DECODED_RESULT,
     GROUP_INVITE,
     HASHED_CAL,
@@ -123,11 +124,14 @@ class TestTranscriptInvariants:
             pair = (min(m.sender, m.receiver), max(m.sender, m.receiver))
             assert pair in edges
 
-    def test_hashed_cal_broadcast_to_clients_only(self):
+    def test_hashed_cal_broadcast_to_clients_only(self, buses):
         cfg, transcript = run_small()
         msgs = transcript.messages_of(kind=HASHED_CAL)
-        assert len(msgs) == cfg.n * (cfg.n - 1)
-        assert all(m.receiver != SERVER for m in msgs)
+        # one broadcast per client, in client order, before any group message
+        assert [(m.seq, m.sender, m.receiver) for m in msgs] == [(c, c, BROADCAST) for c in range(cfg.n)]
+        assert transcript.messages_of(kind=HASHED_CAL, receiver=SERVER) == []
+        [bus] = buses
+        assert not any(m.kind == HASHED_CAL for m in filed(bus))
 
     def test_server_sees_only_permitted_kinds_and_no_plaintext(self):
         cfg, transcript = run_small()
@@ -346,16 +350,19 @@ class TestRoundHotPath:
         for receiver, kind, leader, out in takes:
             assert [m.seq for m in out] == sorted(m.seq for m in out)
             for m in out:
-                assert (m.receiver, m.kind, m.payload.get("leader")) == (receiver, kind, leader)
+                named = m.payload.get("leader") if isinstance(m.payload, dict) else None
+                assert (m.receiver, m.kind, named) == (receiver, kind, leader)
                 taken[m.seq] = taken.get(m.seq, 0) + 1
-        routed = [m for m in transcript.messages if m.kind != HASHED_CAL]
+        routed = transcript.messages
         # a straggler never collects what is addressed to it as a member
         offline = {m.seq for m in routed if m.receiver in cfg.straggler_ids and m.kind in MEMBER_KINDS}
         assert {m.kind for m in routed if m.seq in offline} == MEMBER_KINDS
         online = [m for m in routed if m.seq not in offline]
-        assert {m.kind for m in online} == set(STAGE_OF_KIND) - {HASHED_CAL}
+        assert {m.kind for m in online} == set(STAGE_OF_KIND)
         assert all(taken.get(m.seq) == 1 for m in online)
         assert set(taken) == {m.seq for m in online}
+        # the fingerprints are taken in one go, from the broadcast
+        assert [(r, k, len(out)) for r, k, _, out in takes if k == HASHED_CAL] == [(BROADCAST, HASHED_CAL, cfg.n)]
 
 
 class TestMarginWarning:
@@ -466,15 +473,15 @@ def filed(bus):
 
 
 class TestInboxDrain:
-    """Every party takes what it acts on: after a round only the fingerprint
-    broadcast and the member messages addressed to stragglers stay filed."""
+    """Every party takes what it acts on: after a round only the member
+    messages addressed to stragglers stay filed."""
 
     STRAGGLERS = frozenset({0, 24, 30, 32})
 
     def assert_drained(self, bus, stragglers):
         left = filed(bus)
-        assert all(m.kind == HASHED_CAL or (m.kind in MEMBER_KINDS and m.receiver in stragglers) for m in left)
-        assert {m.kind for m in left} == {HASHED_CAL} | MEMBER_KINDS
+        assert all(m.kind in MEMBER_KINDS and m.receiver in stragglers for m in left)
+        assert {m.kind for m in left} == MEMBER_KINDS
 
     @pytest.mark.parametrize("kind", [None, "share_tamper", "weight_tamper", "server_tamper"])
     def test_seeded_round(self, kind, buses):
@@ -485,8 +492,9 @@ class TestInboxDrain:
         transcript = run_round(cfg, workload_provider(cfg, alpha=1.0, samples=120), tamper=tamper)
         [bus] = buses
         self.assert_drained(bus, self.STRAGGLERS)
-        # 1560 fingerprints, 68 invites, 68 plans and 552 shares to stragglers
-        assert len(filed(bus)) == 2248 and len(transcript.messages) == 6532
+        # 68 invites, 68 plans and 552 shares to stragglers; 40 fingerprints sent
+        assert len(filed(bus)) == 688 and len(transcript.messages) == 5012
+        assert len(transcript.messages_of(kind=HASHED_CAL)) == cfg.n
 
     def test_insufficient_groups_take_their_messages(self, buses):
         _, transcript = run_small(n=5, r=4, straggler_ids=frozenset({0, 1}))
@@ -548,6 +556,30 @@ class TestBusMutation:
         for leader, res in transcript.group_results.items():
             assert res.verdict == ("reject" if leader == self.LEADER else "accept"), leader
 
+    def test_swapped_fingerprint_moves_the_groups(self, monkeypatch):
+        # filtration scores the fingerprints that crossed the bus: client 0's
+        # broadcast replaced by client 15's reshapes the groups to match
+        cfg = small_cfg(n=16, r=5)
+        provider = workload_provider(cfg, alpha=1.0, samples=150)
+        honest = run_round(cfg, provider)
+        sent = {m.sender: m.payload for m in honest.messages_of(kind=HASHED_CAL)}
+        key = (HASHED_CAL, 0, BROADCAST, None)
+
+        class AttackedBus(MessageBus):
+            def __init__(self, transcript):
+                super().__init__(transcript)
+                self.mutations[key] = lambda payload: sent[15]
+
+        monkeypatch.setattr(protocol, "MessageBus", AttackedBus)
+        transcript = run_round(cfg, provider)
+        delivered = {m.sender: m.payload for m in transcript.messages_of(kind=HASHED_CAL)}
+        digests = {c: protocol.payload_digest(h) for c, h in delivered.items()}
+        assert digests == {c: protocol.payload_digest(h) for c, h in {**sent, 0: sent[15]}.items()}
+        want = {cid: select_group(intimacy_list(cid, delivered), cfg.r) for cid in range(cfg.n)}
+        assert transcript.topology.groups == want
+        assert want != honest.topology.groups
+        assert want[0] != honest.topology.groups[0]
+
 
 class TestTamperHitsAMessage:
     """A tamper that would hit no message is refused. Straggler 3 leaves
@@ -585,6 +617,33 @@ class TestTamperHitsAMessage:
     @pytest.mark.parametrize("kind, leader", [("share_tamper", 3), ("weight_tamper", 0), ("weight_tamper", 1)])
     def test_tamper_on_a_live_member_rejects(self, kind, leader):
         assert self.run(kind, leader).group_results[leader].verdict == "reject"
+
+
+class TestTamperOnAStraggler:
+    """Group 1 of the n=10 round with stragglers {2, 7} has members
+    (6, 7, 5, 3): member 7 takes no share, and its weight reaches no view."""
+
+    def run(self, kind, **params):
+        tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3, **params}), leader=1)
+        cfg = small_cfg(n=10, r=4, straggler_ids=frozenset({2, 7}))
+        return run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=tamper)
+
+    def test_group(self):
+        _, transcript = tampered_round(None)
+        assert transcript.group_results[1].members == (6, 7, 5, 3)
+        assert transcript.group_results[1].live_members == (6, 5, 3)
+
+    def test_share_tamper_to_a_straggler(self):
+        with pytest.raises(ValueError, match="hits no message"):
+            self.run("share_tamper", member=7)
+
+    def test_weight_tamper_on_a_straggler_weight(self):
+        with pytest.raises(ValueError, match="hits no message"):
+            self.run("weight_tamper", sender=7)
+
+    @pytest.mark.parametrize("kind, params", [("share_tamper", {"member": 5}), ("weight_tamper", {"sender": 5})])
+    def test_same_tamper_on_a_live_member_rejects(self, kind, params):
+        assert self.run(kind, **params).group_results[1].verdict == "reject"
 
 
 def horner_oracle(bundles, weights, f_coeffs, grain, k):
