@@ -68,12 +68,6 @@ def f2_pow(a, e: int):
     return res
 
 
-def ec_neg(p):
-    if p is None:
-        return None
-    return (p[0], (-p[1]) % Q_FIELD)
-
-
 def ec_add(p1, p2):
     """Affine addition on y^2 = x^3 + x."""
     if p1 is None:

@@ -5,9 +5,10 @@ each client sends its hashed knowledge fingerprint once, to the `BROADCAST`
 pseudo-receiver, and every client selects the group it leads by scoring the
 fingerprints taken from there, so a fingerprint altered in flight moves the
 groups. The group protocol is written once, as three stages over a `_Group`
-state: `_prepare` (the plan; members quantize, split, blind and sign),
-`_exchange` (encode, deliver shares, aggregate) and `_conclude` (decode,
-proof, deblind, verify; "insufficient" below the interpolation threshold).
+state: `_prepare` (the plan; members quantize, split, blind and sign; the
+plaintext oracle), `_exchange` (encode, deliver shares, aggregate; a member's
+bundle is dropped once it encodes) and `_conclude` (decode, proof, deblind,
+verify; "insufficient" below the interpolation threshold).
 
 `_exchange` and `_conclude` send and take the group's messages themselves,
 through the `MessageBus`'s `send` and `take`: `run_round` passes the round's
@@ -31,7 +32,6 @@ import hashlib
 import json
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -62,9 +62,6 @@ STAGE_OF_KIND = {
     AUX_PROOF: "aggregation",
     DECODED_RESULT: "verification",
 }
-
-SERVER_VISIBLE_KINDS = frozenset({PLAN_DISTRIBUTION, AGGREGATED_SHARE, AUX_PROOF})
-
 
 class InfeasibleConfig(ValueError):
     """Round parameters cannot clear the interpolation threshold."""
@@ -201,18 +198,6 @@ class RoundTranscript:
     group_results: dict = field(default_factory=dict)
     topology: filtration.Topology | None = None
 
-    def messages_of(self, kind=None, sender=None, receiver=None):
-        out = []
-        for m in self.messages:
-            if kind is not None and m.kind != kind:
-                continue
-            if sender is not None and m.sender != sender:
-                continue
-            if receiver is not None and m.receiver != receiver:
-                continue
-            out.append(m)
-        return out
-
     def export_jsonl(self) -> str:
         """One JSON line per message (sorted keys, payload as its SHA-256),
         then one per group result in leader order.
@@ -306,6 +291,25 @@ class MessageBus:
         return self.inboxes.pop((receiver, kind, leader), [])
 
 
+class _Timer:
+    """One `PerfRecorder.timer` block: records its wall time and count on
+    exit, also when the body raises."""
+
+    __slots__ = ("perf", "key", "count", "t0")
+
+    def __init__(self, perf, key, count):
+        self.perf, self.key, self.count = perf, key, count
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        dt = time.perf_counter() - self.t0
+        perf, key = self.perf, self.key
+        perf.samples.setdefault(key, []).append(dt)
+        perf.counts[key] = perf.counts.get(key, 0) + self.count
+
+
 class PerfRecorder:
     """Wall-time samples per (role, stage), with operation counts."""
 
@@ -313,16 +317,8 @@ class PerfRecorder:
         self.samples: dict[tuple[str, str], list[float]] = {}
         self.counts: dict[tuple[str, str], int] = {}
 
-    @contextmanager
-    def timer(self, role: str, stage: str, count: int = 1):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            dt = time.perf_counter() - t0
-            key = (role, stage)
-            self.samples.setdefault(key, []).append(dt)
-            self.counts[key] = self.counts.get(key, 0) + count
+    def timer(self, role: str, stage: str, count: int = 1) -> _Timer:
+        return _Timer(self, (role, stage), count)
 
     def rows(self):
         out = []
@@ -433,7 +429,8 @@ class _Group:
     perf: PerfRecorder
     weight_ints: dict
     weight_sigs: dict | None
-    bundles: dict = field(default_factory=dict)  # live member -> blinded SplitBundle
+    bundles: dict = field(default_factory=dict)  # live member -> blinded SplitBundle, until it encodes
+    oracle: np.ndarray | None = None  # plaintext reference teacher, fixed once every live member has prepared
     keys: dict = field(default_factory=dict)  # member -> PrivateKey
     logits_sigs: dict = field(default_factory=dict)
 
@@ -441,6 +438,8 @@ class _Group:
 def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), keys=None, weights=None) -> _Group:
     """Stage 1, member preparation: the leader's plan and weight signatures,
     then each live member quantizes, splits, blinds and signs its logits.
+    Once all have, the plaintext oracle is fixed from their bundles, which
+    `_exchange` then drops one by one as each member encodes.
 
     inputs(member) returns (raw logits, member rng). Keys come from keys,
     which maps every member to its key, or are drawn from each live member's
@@ -471,6 +470,9 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), 
                 group.logits_sigs[member] = tuple(
                     sigcrypto.sign_logits(sigcrypto.digest(bundle), group.keys[member], cfg.q, backend)
                 )
+    if live:
+        weights_of = dict(zip(plan.members, plan.weights))
+        group.oracle = _oracle_teacher(group.bundles, weights_of, coding.monomial(cfg.f_degree), cfg.grain, cfg.k)
     return group
 
 
@@ -479,7 +481,8 @@ def _exchange(group: _Group, bus) -> None:
     server's roster; every member sends its key share and signatures. Every
     live member takes its invite and plan, encodes its bundle under the plan's
     Lagrange coefficients and sends one share per plan member, keeping its
-    share to itself. After the leader's weight signatures, each aggregates
+    share to itself; the group drops the bundle there, so none is left after
+    this stage. After the leader's weight signatures, each aggregates
     the shares it holds under the blinded weights of its plan and sends the
     aggregate, naming their senders, to the server."""
     cfg, plan, perf = group.cfg, group.plan, group.perf
@@ -507,7 +510,7 @@ def _exchange(group: _Group, bus) -> None:
         [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
         mine = plans[member] = taken.payload
         with perf.timer("follower", "encode"):
-            shares = coding.encode(group.bundles[member], mine["lagrange"], mine["members"], sender=member)
+            shares = coding.encode(group.bundles.pop(member), mine["lagrange"], mine["members"], sender=member)
         for share in shares:
             if share.receiver == member:
                 own[member] = share
@@ -529,7 +532,8 @@ def _conclude(group: _Group, bus) -> GroupResult:
     """Stage 3, conclusion: the server takes its roster, the aggregates and
     the signatures, decodes at the roster's nodes, proves over the
     contributors the aggregates name and sends all three to the leader. The
-    leader takes its key shares and that result, then deblinds and verifies.
+    leader takes its key shares and that result, then deblinds and verifies;
+    the relative error is against the oracle fixed in `_prepare`.
     Fewer aggregates than the interpolation threshold is "insufficient"."""
     cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
     leader = plan.leader
@@ -540,10 +544,7 @@ def _conclude(group: _Group, bus) -> GroupResult:
     signatures = bus.take(SERVER, AUX_PROOF, leader)
     logits_sigs = {m.sender: m.payload["logits_sigs"] for m in signatures if "logits_sigs" in m.payload}
     [weight_sigs] = [m.payload["weight_sigs"] for m in signatures if "weight_sigs" in m.payload]
-    f_coeffs = coding.monomial(cfg.f_degree)
-    weights_of = dict(zip(plan.members, plan.weights))
-    oracle = _oracle_teacher(group.bundles, weights_of, f_coeffs, cfg.grain, cfg.k) if group.bundles else None
-    result = GroupResult(leader, plan.members, group.live, "insufficient", oracle=oracle)
+    result = GroupResult(leader, plan.members, group.live, "insufficient", oracle=group.oracle)
     try:
         with perf.timer("server", "decode"):
             nodes = make_nodes(len(roster["members"]), roster["k"], roster["t"], radius=roster["radius"])
@@ -569,8 +570,8 @@ def _conclude(group: _Group, bus) -> GroupResult:
         result.verdict = "accept" if verdict.accepted else "reject"
         result.probe_distance = verdict.probe_distance
         result.margin_warning = verdict.margin_warning
-    if float(np.linalg.norm(oracle)) != 0.0:
-        result.rel_error = relative_error(result.teacher, oracle)
+    if float(np.linalg.norm(group.oracle)) != 0.0:
+        result.rel_error = relative_error(result.teacher, group.oracle)
     return result
 
 
@@ -662,24 +663,6 @@ def run_single_group(
     bus = MessageBus(RoundTranscript(config_digest=""))
     _exchange(group, bus)
     return _conclude(group, bus)
-
-
-def membership_update(topology: filtration.Topology, joins, leaves) -> filtration.Topology:
-    """Carry the topology across a membership change: departed clients drop
-    out of every group and edge, joiners arrive isolated. The next round's
-    filtration rebuilds all groups from scratch."""
-    joins = set(joins)
-    leaves = set(leaves)
-    nodes = (set(topology.nodes) - leaves) | joins
-    groups = {}
-    for leader, members in topology.groups.items():
-        if leader in leaves:
-            continue
-        groups[leader] = [m for m in members if m not in leaves]
-    pruned = filtration.build_topology(groups)
-    return filtration.Topology(
-        nodes=frozenset(nodes | set(pruned.nodes)), edges=pruned.edges, groups=groups
-    )
 
 
 def workload_provider(cfg: RoundConfig, alpha: float = 1.0, samples: int = 300, **profile_kwargs):

@@ -125,8 +125,10 @@ def quantize_weight(w: float, q: int) -> int:
 
 
 def sign_weights(weights_quantized, backend) -> list:
-    """One group element per member: g^(quantized weight)."""
-    return [backend.g_pow(w % backend.order) for w in weights_quantized]
+    """One group element per member: g^(quantized weight), with one power
+    per distinct weight (uniform plan weights need a single one)."""
+    powers = {w: backend.g_pow(w % backend.order) for w in dict.fromkeys(weights_quantized)}
+    return [powers[w] for w in weights_quantized]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Shared test fixtures: one group driven through the protocol's staged
 pipeline over a fresh bus, a filtration run under random-logits poisoning,
 and the scalar Lagrange basis coefficient used as a reference for the
-vectorized one."""
+vectorized one. Also the reference code only tests need: a transcript
+filter, the kinds the server may see, a topology membership update and
+point negation on the pairing curve."""
 
 import numpy as np
 
@@ -9,13 +11,15 @@ from svafd import protocol
 from svafd.coding import InsufficientShares
 from svafd.filtration import (
     LshConfig,
+    Topology,
     build_topology,
     compute_cal,
     intimacy_list,
     lsh_project,
     select_group,
 )
-from svafd.protocol import AGGREGATED_SHARE, SERVER, RoundConfig
+from svafd.pairing import Q_FIELD
+from svafd.protocol import AGGREGATED_SHARE, AUX_PROOF, PLAN_DISTRIBUTION, SERVER, RoundConfig
 from svafd.threats import AttackSpec, poison_samples
 from svafd.workload import dirichlet_population, gen_logits
 
@@ -31,15 +35,57 @@ def lagrange_coeff(nodes, j: int, x: complex) -> complex:
     return complex(np.prod((x - others) / (bj - others)))
 
 
+SERVER_VISIBLE_KINDS = frozenset({PLAN_DISTRIBUTION, AGGREGATED_SHARE, AUX_PROOF})
+
+
+def messages_of(transcript, kind=None, sender=None, receiver=None):
+    """The transcript's messages that match every given field, in order."""
+    return [
+        m
+        for m in transcript.messages
+        if (kind is None or m.kind == kind)
+        and (sender is None or m.sender == sender)
+        and (receiver is None or m.receiver == receiver)
+    ]
+
+
+def membership_update(topology: Topology, joins, leaves) -> Topology:
+    """Carry the topology across a membership change: departed clients drop
+    out of every group and edge, joiners arrive isolated."""
+    joins = set(joins)
+    leaves = set(leaves)
+    nodes = (set(topology.nodes) - leaves) | joins
+    groups = {
+        leader: [m for m in members if m not in leaves]
+        for leader, members in topology.groups.items()
+        if leader not in leaves
+    }
+    pruned = build_topology(groups)
+    return Topology(nodes=frozenset(nodes | set(pruned.nodes)), edges=pruned.edges, groups=groups)
+
+
+def ec_neg(p):
+    """The inverse of an affine point on the pairing curve (None is the identity)."""
+    if p is None:
+        return None
+    return (p[0], (-p[1]) % Q_FIELD)
+
+
+def prepared_group(rng, leader, cfg, low, high, backend=None, weights=None, stragglers=()):
+    """Preparation for members 0..r-1, each drawing uniform [low, high)
+    logits from rng; the group state still holds every live bundle."""
+    rows = cfg.d if cfg.grain == "class" else cfg.o
+    return protocol._prepare(
+        cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, (rows, cfg.d)), rng), backend,
+        protocol.PerfRecorder(), stragglers=stragglers, weights=weights,
+    )
+
+
 def exchanged_group(rng, leader, cfg, low, high, backend=None, weights=None):
     """Preparation and share exchange for members 0..r-1 over a fresh bus;
     every member draws uniform [low, high) logits from rng. Returns the
     group state and the bus whose inboxes hold the server's aggregates."""
-    rows = cfg.d if cfg.grain == "class" else cfg.o
-    group = protocol._prepare(
-        cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, (rows, cfg.d)), rng), backend,
-        protocol.PerfRecorder(), weights=weights,
-    )
+    group = prepared_group(rng, leader, cfg, low, high, backend, weights)
     bus = protocol.MessageBus(protocol.RoundTranscript(config_digest=""))
     protocol._exchange(group, bus)
     return group, bus

@@ -20,7 +20,6 @@ from svafd.protocol import (
     AGGREGATED_SHARE,
     SERVER,
     RoundConfig,
-    _oracle_teacher,
     run_round,
     workload_provider,
 )
@@ -114,10 +113,8 @@ def _aggregated_group(seed, r, k, t, d=6, q=3, sigma=1e3):
     """Everything up to decoding for one class-grain group."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, d=d)
     group, bus = exchanged_group(np.random.default_rng(seed), r, cfg, -10, 10)
-    plan = group.plan
-    oracle = _oracle_teacher(group.bundles, dict(zip(plan.members, plan.weights)), [0.0, 1.0], "class", k)
     received = bus.take(SERVER, AGGREGATED_SHARE, r)
-    return plan, [(m.payload["alpha_index"], m.payload["payload"]) for m in received], oracle
+    return group.plan, [(m.payload["alpha_index"], m.payload["payload"]) for m in received], group.oracle
 
 
 @criterion(4, "dropout resilience at (r=100, k=10, t=10)")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import ec_neg
 from svafd.pairing import (
     COFACTOR,
     GENERATOR,
@@ -12,7 +13,6 @@ from svafd.pairing import (
     _jac_double,
     _jac_to_affine,
     ec_add,
-    ec_neg,
     tate_pairing,
 )
 

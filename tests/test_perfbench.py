@@ -57,9 +57,9 @@ def test_traced_counters_read_the_engine_calls(entry):
         assert tracer.calls["protocol.MessageBus.send"] == len(transcript.messages)
         assert transcript.group_results[0].verdict == "reject"
     if backend is not None:
-        # one full-width power per signer (its key) and one per weight;
-        # uniform plan weights give one distinct weight signature, one pairing
+        # one full-width power per signer (its key) and one per distinct
+        # weight; uniform plan weights give one weight signature, one pairing
         assert result.verdict == "accept"
         assert tracer.calls["sigcrypto.sign_logits"] == 4
-        assert tracer.calls["pairing.PairingBackend.g_pow"] == 4 + 4
+        assert tracer.calls["pairing.PairingBackend.g_pow"] == 4 + 1
         assert tracer.calls["pairing.PairingBackend.pair"] == 1

@@ -17,7 +17,6 @@ from svafd.protocol import (
     KEY_SHARE,
     PLAN_DISTRIBUTION,
     SERVER,
-    SERVER_VISIBLE_KINDS,
     SHARE,
     STAGE_OF_KIND,
     InfeasibleConfig,
@@ -25,13 +24,19 @@ from svafd.protocol import (
     MessageBus,
     PerfRecorder,
     RoundConfig,
-    membership_update,
     run_round,
     run_single_group,
     workload_provider,
 )
 
-from helpers import exchanged_group, full_pipeline
+from helpers import (
+    SERVER_VISIBLE_KINDS,
+    exchanged_group,
+    full_pipeline,
+    membership_update,
+    messages_of,
+    prepared_group,
+)
 
 
 def small_cfg(**overrides):
@@ -86,11 +91,19 @@ class TestStragglers:
             else:
                 assert res.verdict == "insufficient"
 
+    def test_group_without_live_members_has_no_oracle(self):
+        # every client but 0 straggles: a group without client 0 keeps no live member
+        _, transcript = run_small(n=4, r=2, k=2, t=0, straggler_ids=frozenset({1, 2, 3}))
+        empty = [res for res in transcript.group_results.values() if 0 not in res.members]
+        assert empty
+        for res in empty:
+            assert (res.live_members, res.verdict, res.oracle, res.rel_error) == ((), "insufficient", None, None)
+
     def test_straggler_sends_no_shares_or_aggregates(self):
         _, transcript = run_small(n=5, r=4, straggler_ids=frozenset({2}))
-        assert transcript.messages_of(kind=SHARE, sender=2) == []
-        assert transcript.messages_of(kind=AGGREGATED_SHARE, sender=2) == []
-        assert transcript.messages_of(kind=KEY_SHARE, sender=2) != []
+        assert messages_of(transcript, kind=SHARE, sender=2) == []
+        assert messages_of(transcript, kind=AGGREGATED_SHARE, sender=2) == []
+        assert messages_of(transcript, kind=KEY_SHARE, sender=2) != []
 
 
 class TestTranscriptInvariants:
@@ -99,7 +112,7 @@ class TestTranscriptInvariants:
         for leader in range(8):
             plan_seqs = [
                 m.seq
-                for m in transcript.messages_of(kind=PLAN_DISTRIBUTION, sender=leader)
+                for m in messages_of(transcript, kind=PLAN_DISTRIBUTION, sender=leader)
             ]
             share_seqs = [
                 m.seq
@@ -113,23 +126,23 @@ class TestTranscriptInvariants:
                 for m in transcript.messages
                 if m.kind == AGGREGATED_SHARE and m.payload["leader"] == leader
             ]
-            dec = transcript.messages_of(kind=DECODED_RESULT, receiver=leader)
+            dec = messages_of(transcript, kind=DECODED_RESULT, receiver=leader)
             assert len(dec) == 1
             assert max(agg_seqs) < dec[0].seq
 
     def test_share_channels_are_topology_edges(self):
         _, transcript = run_small(n=8, r=3)
         edges = transcript.topology.edges
-        for m in transcript.messages_of(kind=SHARE):
+        for m in messages_of(transcript, kind=SHARE):
             pair = (min(m.sender, m.receiver), max(m.sender, m.receiver))
             assert pair in edges
 
     def test_hashed_cal_broadcast_to_clients_only(self, buses):
         cfg, transcript = run_small()
-        msgs = transcript.messages_of(kind=HASHED_CAL)
+        msgs = messages_of(transcript, kind=HASHED_CAL)
         # one broadcast per client, in client order, before any group message
         assert [(m.seq, m.sender, m.receiver) for m in msgs] == [(c, c, BROADCAST) for c in range(cfg.n)]
-        assert transcript.messages_of(kind=HASHED_CAL, receiver=SERVER) == []
+        assert messages_of(transcript, kind=HASHED_CAL, receiver=SERVER) == []
         [bus] = buses
         assert not any(m.kind == HASHED_CAL for m in filed(bus))
 
@@ -151,7 +164,7 @@ class TestTranscriptInvariants:
                 for v in obj:
                     yield from arrays_in(v)
 
-        for m in transcript.messages_of(receiver=SERVER):
+        for m in messages_of(transcript, receiver=SERVER):
             assert m.kind in SERVER_VISIBLE_KINDS
             for arr in arrays_in(m.payload):
                 if arr.ndim == 2 and not np.iscomplexobj(arr):
@@ -309,7 +322,7 @@ class TestRoundHotPath:
     def test_groups_match_pairwise_filtration(self):
         cfg, transcript = tampered_round(None, n=16, r=5)
         # the fingerprints every client broadcast, scored pair by pair
-        hashed = {m.sender: m.payload for m in transcript.messages_of(kind=HASHED_CAL)}
+        hashed = {m.sender: m.payload for m in messages_of(transcript, kind=HASHED_CAL)}
         want = {cid: select_group(intimacy_list(cid, hashed), cfg.r) for cid in range(cfg.n)}
         assert transcript.topology.groups == want
 
@@ -413,6 +426,50 @@ class TestStageTiming:
         assert rec.counts == self.UNSIGNED
 
 
+class TestTimerRecordsOnRaise:
+    def test_sample_and_count_kept_when_the_body_raises(self):
+        rec = PerfRecorder()
+        with rec.timer("server", "decode"):
+            pass
+        with pytest.raises(protocol.coding.InsufficientShares):
+            with rec.timer("server", "decode", count=3):
+                raise protocol.coding.InsufficientShares("2 aggregates left")
+        assert rec.counts == {("server", "decode"): 4}
+        assert len(rec.samples[("server", "decode")]) == 2
+        assert all(s >= 0.0 for s in rec.samples[("server", "decode")])
+
+
+class TestBundlesDroppedAfterEncode:
+    """The oracle is fixed in `_prepare`; after `_exchange` no bundle is left."""
+
+    @pytest.mark.parametrize("grain", ["class", "sample"])
+    def test_exchange_drops_every_bundle_and_keeps_the_oracle(self, grain):
+        cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain=grain, o=8)
+        rng = np.random.default_rng(5)
+        group = prepared_group(rng, 6, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r), stragglers={3})
+        prepared = dict(group.bundles)
+        assert list(prepared) == [0, 1, 2, 4, 5] and group.live == (0, 1, 2, 4, 5)
+        weights = dict(zip(group.plan.members, group.plan.weights))
+        want = protocol._oracle_teacher(prepared, weights, protocol.coding.monomial(1), grain, cfg.k)
+        protocol._exchange(group, MessageBus(protocol.RoundTranscript(config_digest="")))
+        assert group.bundles == {}
+        assert group.oracle.dtype == want.dtype and group.oracle.tobytes() == want.tobytes()
+
+    def test_peak_memory_stays_near_the_share_bytes(self):
+        import tracemalloc
+
+        r, k, t, omega, d = 40, 20, 10, 32, 10
+        run_single_group(r, k, t, omega=omega, d=d, seed=1)  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            run_single_group(r, k, t, omega=omega, d=d, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        share_bytes = r * r * omega * d * 16  # r^2 complex (omega, d) shares
+        assert peak <= 1.4 * share_bytes, peak / share_bytes
+
+
 class TestGroupOverFreshBus:
     """One group driven through the stages over a fresh bus sends its
     messages the same way every time and decodes from the server's inbox."""
@@ -448,9 +505,9 @@ class TestGroupOverFreshBus:
         assert first.teacher.tobytes() == second.teacher.tobytes()
         assert (first.rel_error, first.probe_distance) == (second.rel_error, second.probe_distance)
         assert len(first_server) == 6 and first_server == second_server
-        assert [m.sender for m in first_log.messages_of(kind=AGGREGATED_SHARE)] == list(range(6))
+        assert [m.sender for m in messages_of(first_log, kind=AGGREGATED_SHARE)] == list(range(6))
         assert first_log.export_jsonl() == second_log.export_jsonl()
-        shares = first_log.messages_of(kind=SHARE)
+        shares = messages_of(first_log, kind=SHARE)
         assert len(shares) == 6 * 5 and all(m.sender != m.receiver for m in shares)
 
 
@@ -494,7 +551,7 @@ class TestInboxDrain:
         self.assert_drained(bus, self.STRAGGLERS)
         # 68 invites, 68 plans and 552 shares to stragglers; 40 fingerprints sent
         assert len(filed(bus)) == 688 and len(transcript.messages) == 5012
-        assert len(transcript.messages_of(kind=HASHED_CAL)) == cfg.n
+        assert len(messages_of(transcript, kind=HASHED_CAL)) == cfg.n
 
     def test_insufficient_groups_take_their_messages(self, buses):
         _, transcript = run_small(n=5, r=4, straggler_ids=frozenset({0, 1}))
@@ -562,7 +619,7 @@ class TestBusMutation:
         cfg = small_cfg(n=16, r=5)
         provider = workload_provider(cfg, alpha=1.0, samples=150)
         honest = run_round(cfg, provider)
-        sent = {m.sender: m.payload for m in honest.messages_of(kind=HASHED_CAL)}
+        sent = {m.sender: m.payload for m in messages_of(honest, kind=HASHED_CAL)}
         key = (HASHED_CAL, 0, BROADCAST, None)
 
         class AttackedBus(MessageBus):
@@ -572,7 +629,7 @@ class TestBusMutation:
 
         monkeypatch.setattr(protocol, "MessageBus", AttackedBus)
         transcript = run_round(cfg, provider)
-        delivered = {m.sender: m.payload for m in transcript.messages_of(kind=HASHED_CAL)}
+        delivered = {m.sender: m.payload for m in messages_of(transcript, kind=HASHED_CAL)}
         digests = {c: protocol.payload_digest(h) for c, h in delivered.items()}
         assert digests == {c: protocol.payload_digest(h) for c, h in {**sent, 0: sent[15]}.items()}
         want = {cid: select_group(intimacy_list(cid, delivered), cfg.r) for cid in range(cfg.n)}
@@ -671,7 +728,7 @@ class TestDegreeOneOracle:
     def test_matches_per_slot_horner(self, grain, deg):
         cfg = RoundConfig(n=8, r=7, k=3, t=1, q=3, d=5, grain=grain, o=12)
         rng = np.random.default_rng(31)
-        group, _ = exchanged_group(rng, 7, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r))
+        group = prepared_group(rng, 7, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r))
         weights = dict(zip(group.plan.members, group.plan.weights))
         f_coeffs = protocol.coding.monomial(deg)
         got = protocol._oracle_teacher(group.bundles, weights, f_coeffs, grain, cfg.k)

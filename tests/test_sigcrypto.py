@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import exchanged_group
+from helpers import exchanged_group, messages_of
 from svafd.coding import quantize, split
 from svafd.protocol import DECODED_RESULT, RoundConfig, _conclude
 from svafd.sigcrypto import (
@@ -152,6 +152,22 @@ class TestSignLogitsCost:
             assert calls == [41]
 
 
+class TestSignWeightsCost:
+    @pytest.mark.parametrize("name", ["mock", "pairing"])
+    @pytest.mark.parametrize(
+        "weights, powers",
+        [([250] * 4, [250]), ([250, 125, 250, 0, 125, -375], [250, 125, 0, -375]), ([7], [7])],
+    )
+    def test_one_power_per_distinct_weight(self, name, weights, powers, monkeypatch):
+        backend = get_backend(name)
+        want = [backend.g_pow(w % backend.order) for w in weights]
+        calls = []
+        full_width = type(backend).g_pow
+        monkeypatch.setattr(type(backend), "g_pow", lambda self, a: calls.append(a) or full_width(self, a))
+        assert sign_weights(weights, backend) == want
+        assert calls == [w % backend.order for w in powers]
+
+
 class TestAggregateProof:
     def test_single_member_hand_value(self):
         aux = AuxProofs(
@@ -256,7 +272,7 @@ def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MO
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, grain=grain, d=d, o=omega * k)
     group, bus = exchanged_group(np.random.default_rng(seed), 0, cfg, -8, 8, backend, weights)
     teacher = _conclude(group, bus).teacher
-    [decoded] = bus.transcript.messages_of(kind=DECODED_RESULT)
+    [decoded] = messages_of(bus.transcript, kind=DECODED_RESULT)
     return decoded.payload["proof"], teacher, list(group.weight_ints.values()), [group.keys[z] for z in range(r)], k, q
 
 
