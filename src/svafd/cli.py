@@ -54,12 +54,10 @@ def _provider_for(cfg: ExperimentConfig, round_cfg):
 
 
 def _group_params(cfg: ExperimentConfig) -> dict:
-    """The `run_single_group` keywords an experiment fixes for every group;
-    sample grain takes `batch` rows per slice (pool size = batch * k)."""
-    return dict(
-        grain=cfg.grain, d=cfg.d, omega=cfg.batch, q=cfg.q, sigma=cfg.sigma, theta=cfg.theta, radius=cfg.radius,
-        f_degree=cfg.f_degree,
-    )
+    """The `run_single_group` keywords an experiment fixes for every group:
+    the config keys of the same names."""
+    names = ("grain", "d", "omega", "q", "sigma", "theta", "radius", "f_degree")
+    return {name: getattr(cfg, name) for name in names}
 
 
 def error_table(cfg: ExperimentConfig) -> dict:

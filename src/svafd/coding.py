@@ -269,7 +269,7 @@ def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) ->
     return the real parts, one tensor per plaintext slice.
 
     aggregates: iterable of (evaluation-point index, payload array). Needs
-    at least deg_f*(k+t-1)+1 of them.
+    at least the interpolation threshold of them (see `check_achievable`).
     """
     items = []
     seen = set()
@@ -278,7 +278,7 @@ def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) ->
             raise ValueError(f"duplicate evaluation point index {idx}")
         seen.add(idx)
         items.append((nodes.alphas[idx], np.asarray(agg)))
-    threshold = deg_f * (k + t - 1) + 1
+    threshold = check_achievable(len(items), k, t, deg_f).threshold
     if len(items) < threshold:
         raise InsufficientShares(f"{len(items)} aggregates < threshold {threshold}")
     decoded = interpolate(items, nodes.betas[:k])

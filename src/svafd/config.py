@@ -20,7 +20,7 @@ Keys and defaults:
     f_degree = 1        aggregation polynomial degree
     seed = 0            master seed
     d = 10              classes
-    o = 0               sample-grain public-pool size (multiple of k)
+    omega = 32          sample-grain rows per slice (public pool = omega * k)
     backend = mock      mock | pairing
     leader_in_group = false
     stragglers =        comma-separated client ids that drop mid-round
@@ -36,7 +36,6 @@ Keys and defaults:
     sweep_k = 10,20,30
     sweep_t = 10,20,30
     reps = 5
-    batch = 32          sample-grain rows per slice in table-error and timing groups
 
   attacks
     attacks = random_logits            kinds for the attack suite
@@ -72,7 +71,7 @@ class ExperimentConfig:
     f_degree: int = 1
     seed: int = 0
     d: int = 10
-    o: int = 0
+    omega: int = 32
     backend: str = "mock"
     leader_in_group: bool = False
     stragglers: tuple = ()
@@ -84,7 +83,6 @@ class ExperimentConfig:
     sweep_k: tuple = (10, 20, 30)
     sweep_t: tuple = (10, 20, 30)
     reps: int = 5
-    batch: int = 32
     attacks: tuple = ("random_logits",)
     poison_fraction: float = 0.4
     attack_scale: float = -2.0
@@ -93,25 +91,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def round_config(self) -> RoundConfig:
-        return RoundConfig(
-            n=self.n,
-            r=self.r,
-            k=self.k,
-            t=self.t,
-            q=self.q,
-            p=self.p,
-            sigma=self.sigma,
-            theta=self.theta,
-            radius=self.radius,
-            grain=self.grain,
-            f_degree=self.f_degree,
-            seed=self.seed,
-            d=self.d,
-            o=self.o,
-            straggler_ids=frozenset(self.stragglers),
-            backend=self.backend,
-            leader_in_group=self.leader_in_group,
-        )
+        """Every `RoundConfig` field from the key of the same name, and
+        `straggler_ids` from `stragglers`."""
+        shared = {f.name: getattr(self, f.name) for f in fields(RoundConfig) if f.name in _FIELDS}
+        return RoundConfig(**shared, straggler_ids=frozenset(self.stragglers))
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}

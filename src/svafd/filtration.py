@@ -109,22 +109,15 @@ def intimacy(h1, h2) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class IntimacyList:
-    """One client's cosine scores against every client id (its own slot is
-    present but never selectable)."""
-
-    owner: int
-    scores: np.ndarray
-
-
-def intimacy_list(owner: int, hashed: dict[int, HashedCal]) -> IntimacyList:
+def intimacy_list(owner: int, hashed: dict[int, HashedCal]) -> np.ndarray:
+    """The owner's cosine scores against every client id: 1.0 on its own
+    slot (never selectable) and 0 for missing ids."""
     n = max(hashed) + 1
     scores = np.zeros(n)
     own = hashed[owner]
     for cid, h in hashed.items():
         scores[cid] = 1.0 if cid == owner else intimacy(own, h)
-    return IntimacyList(owner=owner, scores=scores)
+    return scores
 
 
 def intimacy_matrix(hashed: dict[int, HashedCal]) -> np.ndarray:
@@ -134,7 +127,7 @@ def intimacy_matrix(hashed: dict[int, HashedCal]) -> np.ndarray:
     entry (i, j) sums the per-class-row dot products over rows present on
     both sides, and the masked squared norms of the two operands are
     (M * rownorm^2) @ M^T and its transpose, M being the presence masks.
-    Row i equals `intimacy_list(i, hashed).scores`: the same clip, the same
+    Row i equals `intimacy_list(i, hashed)`: the same clip, the same
     zero-norm -> 0 rule, 1.0 on the owner's own slot and 0 for missing ids.
     """
     n = max(hashed) + 1
@@ -155,18 +148,19 @@ def intimacy_matrix(hashed: dict[int, HashedCal]) -> np.ndarray:
     return scores
 
 
-def select_group(ilist: IntimacyList, r: int) -> list[int]:
-    """Ids of the r highest-scoring candidates, owner excluded; ties broken
-    by ascending client id. Output is in descending-score order.
+def select_group(owner: int, scores, r: int) -> list[int]:
+    """Ids of the r highest-scoring candidates in the owner's score row,
+    owner excluded; ties broken by ascending client id. Output is in
+    descending-score order.
 
     One lexsort over (-score, id) with the owner masked out: ids are
     distinct, so the order is total and equals sorting by (-score, id)."""
-    scores = np.asarray(ilist.scores)
+    scores = np.asarray(scores)
     n = len(scores)
     if r > n - 1:
         raise RTooLarge(f"r={r} but only {n - 1} candidates")
     ids = np.arange(n)
-    ids = ids[ids != ilist.owner]
+    ids = ids[ids != owner]
     order = np.lexsort((ids, -scores[ids]))
     return ids[order[:r]].tolist()
 

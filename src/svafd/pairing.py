@@ -127,26 +127,19 @@ def _jac_add_affine(p, q):
     return (x3, y3, z3)
 
 
-def _jac_to_affine(p):
-    if p is None:
-        return None
-    x, y, z = p
-    zi = _inv(z)
-    zi2 = zi * zi % Q_FIELD
-    return (x * zi2 % Q_FIELD, y * zi2 * zi % Q_FIELD)
-
-
 def _batch_to_affine(points):
-    """Jacobian points (none the identity) to affine with a single inversion
-    (Montgomery's trick)."""
+    """Jacobian points to affine with a single inversion (Montgomery's
+    trick); the identity (None) stays None."""
     prefix = [1]
-    for _, _, z in points:
-        prefix.append(prefix[-1] * z % Q_FIELD)
+    for p in points:
+        prefix.append(prefix[-1] if p is None else prefix[-1] * p[2] % Q_FIELD)
     inv = _inv(prefix[-1])
     out = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
+        if points[i] is None:
+            continue
         x, y, z = points[i]
-        zi = inv * prefix[i] % Q_FIELD  # inv is 1 / (z_0 ... z_i) here
+        zi = inv * prefix[i] % Q_FIELD  # inv is 1 / (z_0 ... z_i) here, identities skipped
         inv = inv * z % Q_FIELD
         zi2 = zi * zi % Q_FIELD
         out[i] = (x * zi2 % Q_FIELD, y * zi2 * zi % Q_FIELD)
@@ -259,20 +252,23 @@ class PairingBackend:
     def gt_identity(self):
         return GT_ONE
 
-    def g_pow(self, a: int):
-        a %= self.order
-        if a == 0:
-            return None
-        acc = None
+    def _add_digits(self, acc, a: int, negate: bool = False):
+        """acc + g^a (acc - g^a if negate) for 0 <= a < order, in Jacobian
+        coordinates: one mixed addition of a table point (y negated if
+        negate) per nonzero WINDOW-bit digit of a."""
         mask = 2**WINDOW - 1
         for row in self._table:
-            digit = a & mask
-            if digit:
-                acc = _jac_add_affine(acc, row[digit - 1])
-            a >>= WINDOW
             if not a:
                 break
-        return _jac_to_affine(acc)
+            digit = a & mask
+            if digit:
+                point = row[digit - 1]
+                acc = _jac_add_affine(acc, (point[0], Q_FIELD - point[1]) if negate else point)
+            a >>= WINDOW
+        return acc
+
+    def g_pow(self, a: int):
+        return _batch_to_affine([self._add_digits(None, a % self.order)])[0]
 
     def g_pow_offsets(self, base: int, offsets) -> list:
         """[g^(base + o) for o in offsets] from one g_pow(base).
@@ -284,25 +280,13 @@ class PairingBackend:
         integer is in the table's range.
         """
         start = self.g_pow(base)
-        order, mask = self.order, 2**WINDOW - 1
-        accs = []
+        start = None if start is None else (start[0], start[1], 1)
+        order, accs = self.order, []
         for o in offsets:
             o %= order
             negate = o > order >> 1
-            if negate:
-                o = order - o
-            acc = None if start is None else (start[0], start[1], 1)
-            for row in self._table:
-                if not o:
-                    break
-                digit = o & mask
-                if digit:
-                    x, y = row[digit - 1]
-                    acc = _jac_add_affine(acc, (x, Q_FIELD - y) if negate else (x, y))
-                o >>= WINDOW
-            accs.append(acc)
-        affine = iter(_batch_to_affine([a for a in accs if a is not None]))
-        return [None if a is None else next(affine) for a in accs]
+            accs.append(self._add_digits(start, order - o if negate else o, negate))
+        return _batch_to_affine(accs)
 
     def g_prod(self, elements):
         """The product of group elements: mixed Jacobian additions, one
@@ -311,7 +295,7 @@ class PairingBackend:
         for p in elements:
             if p is not None:
                 acc = _jac_add_affine(acc, p)
-        return _jac_to_affine(acc)
+        return _batch_to_affine([acc])[0]
 
     def g_mul(self, x, y):
         return ec_add(x, y)

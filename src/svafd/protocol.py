@@ -82,7 +82,7 @@ class RoundConfig:
     f_degree: int = 1
     seed: int = 0
     d: int = 10
-    o: int = 0  # sample-grain public-pool size
+    omega: int = 32  # sample-grain rows per slice; the public pool is omega * k
     straggler_ids: frozenset = frozenset()
     backend: str = "mock"
     leader_in_group: bool = False
@@ -93,7 +93,7 @@ class RoundConfig:
     def tensor_shape(self) -> tuple[int, int]:
         if self.grain == "class":
             return (self.d, self.d)
-        return (self.o // self.k, self.d)
+        return (self.omega, self.d)
 
     def validate(self):
         if self.r > self.n - 1:
@@ -103,8 +103,8 @@ class RoundConfig:
             raise InfeasibleConfig(
                 f"group size {self.group_size()} below threshold {ach.threshold}"
             )
-        if self.grain == "sample" and (self.o < 1 or self.o % self.k != 0):
-            raise InfeasibleConfig(f"pool size {self.o} must be a positive multiple of k")
+        if self.grain == "sample" and self.omega < 1:
+            raise InfeasibleConfig(f"sample grain needs omega >= 1 rows per slice, got {self.omega}")
         if self.f_degree != 1:
             # signed digests reconcile with decoded sums only when the
             # aggregation is the weighted linear one; higher degrees are
@@ -193,7 +193,6 @@ def payload_digest(payload) -> str:
 class RoundTranscript:
     """Append-only record of every message plus per-group outcomes."""
 
-    config_digest: str
     messages: list = field(default_factory=list)
     group_results: dict = field(default_factory=dict)
     topology: filtration.Topology | None = None
@@ -585,7 +584,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     """
     cfg.validate()
     backend = sigcrypto.get_backend(cfg.backend)
-    transcript = RoundTranscript(config_digest=payload_digest(repr(cfg)))
+    transcript = RoundTranscript()
     bus = MessageBus(transcript)
     clients = list(range(cfg.n))
 
@@ -601,9 +600,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     # every client scores the fingerprints that crossed the bus
     delivered = {m.sender: m.payload for m in bus.take(BROADCAST, HASHED_CAL)}
     scores = filtration.intimacy_matrix(delivered)
-    groups = {
-        cid: filtration.select_group(filtration.IntimacyList(cid, scores[cid]), cfg.r) for cid in clients
-    }
+    groups = {cid: filtration.select_group(cid, scores[cid], cfg.r) for cid in clients}
     transcript.topology = filtration.build_topology(groups)
 
     # --- aggregation, then verification in a second pass over leaders ---
@@ -651,7 +648,7 @@ def run_single_group(
     rng = np.random.default_rng([seed, r, k, t] if isinstance(seed, int) else seed)
     cfg = RoundConfig(
         n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, radius=radius, grain=grain, f_degree=f_degree, d=d,
-        o=omega * k,
+        omega=omega,
     )
     rows = d if grain == "class" else omega * k
 
@@ -660,7 +657,7 @@ def run_single_group(
 
     perf = perf if perf is not None else PerfRecorder()
     group = _prepare(cfg, r, range(r), rng, inputs, backend, perf)
-    bus = MessageBus(RoundTranscript(config_digest=""))
+    bus = MessageBus(RoundTranscript())
     _exchange(group, bus)
     return _conclude(group, bus)
 
@@ -676,7 +673,7 @@ def workload_provider(cfg: RoundConfig, alpha: float = 1.0, samples: int = 300, 
         [cfg.seed, 7],
         samples=samples,
         grain=cfg.grain,
-        o=cfg.o,
+        o=cfg.omega * cfg.k,
         **profile_kwargs,
     )
     cache = {}

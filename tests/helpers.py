@@ -74,7 +74,7 @@ def ec_neg(p):
 def prepared_group(rng, leader, cfg, low, high, backend=None, weights=None, stragglers=()):
     """Preparation for members 0..r-1, each drawing uniform [low, high)
     logits from rng; the group state still holds every live bundle."""
-    rows = cfg.d if cfg.grain == "class" else cfg.o
+    rows = cfg.d if cfg.grain == "class" else cfg.omega * cfg.k
     return protocol._prepare(
         cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, (rows, cfg.d)), rng), backend,
         protocol.PerfRecorder(), stragglers=stragglers, weights=weights,
@@ -86,7 +86,7 @@ def exchanged_group(rng, leader, cfg, low, high, backend=None, weights=None):
     every member draws uniform [low, high) logits from rng. Returns the
     group state and the bus whose inboxes hold the server's aggregates."""
     group = prepared_group(rng, leader, cfg, low, high, backend, weights)
-    bus = protocol.MessageBus(protocol.RoundTranscript(config_digest=""))
+    bus = protocol.MessageBus(protocol.RoundTranscript())
     protocol._exchange(group, bus)
     return group, bus
 
@@ -94,9 +94,8 @@ def exchanged_group(rng, leader, cfg, low, high, backend=None, weights=None):
 def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0, theta=6.0, q=3, drop=()):
     """One group end to end with the aggregates of the holders in drop lost
     before decoding; returns (teacher, slice-wise plaintext oracle teacher)."""
-    omega = d if grain == "class" else omega
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, grain=grain, f_degree=deg_f, d=d,
-                      o=omega * k)
+                      omega=omega)
     group, bus = exchanged_group(np.random.default_rng(seed), 999, cfg, -10, 10)
     kept = [m for m in bus.take(SERVER, AGGREGATED_SHARE, 999) if m.payload["alpha_index"] not in drop]
     for m in kept:
@@ -121,5 +120,5 @@ def build_attacked_topology(n, frac, r, seed, d=10, samples=250):
         if cid in poisoners:
             samples_list = poison_samples(spec, samples_list, rng=np.random.default_rng([seed, 11, cid]))
         hashed[cid] = lsh_project(compute_cal(samples_list), cfg)
-    groups = {cid: select_group(intimacy_list(cid, hashed), r) for cid in range(n)}
+    groups = {cid: select_group(cid, intimacy_list(cid, hashed), r) for cid in range(n)}
     return build_topology(groups), poisoners, hashed

@@ -50,7 +50,7 @@ def test_criterion_1_error_table(tmp_path):
         sweep_t=(10, 20, 30),
         reps=5,
         grain="sample",
-        batch=32,
+        omega=32,
         d=10,
         q=3,
         sigma=1e3,
@@ -198,7 +198,7 @@ def test_criterion_7_filtration_quality():
 @criterion(8, "byte-deterministic outputs")
 def test_criterion_8_determinism(tmp_path):
     cfg = ExperimentConfig(
-        sweep_n=(10,), sweep_k=(2,), sweep_t=(1, 2), reps=2, batch=4, d=5, grain="sample", seed=5
+        sweep_n=(10,), sweep_k=(2,), sweep_t=(1, 2), reps=2, omega=4, d=5, grain="sample", seed=5
     )
     a = cmd_table_error(cfg, tmp_path / "a").read_bytes()
     b = cmd_table_error(cfg, tmp_path / "b").read_bytes()
@@ -217,7 +217,7 @@ def test_criterion_9_timing_orderings(tmp_path):
         sweep_k=(10, 20, 40, 80),
         reps=2,
         grain="sample",
-        batch=32,
+        omega=32,
         d=10,
         backend="pairing",
         seed=9,

@@ -1,13 +1,15 @@
+import re
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from svafd import cli
+from svafd import cli, config
 from svafd.cli import cmd_attack_suite, cmd_single_round, cmd_table_error, cmd_timing, error_table, main
 from svafd.config import ExperimentConfig, load_config, parse_config
-from svafd.protocol import PerfRecorder
+from svafd.protocol import PerfRecorder, RoundConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -20,7 +22,7 @@ class TestConfigParsing:
         r = 4
         sigma = 500.0          # overrides default
         grain = sample
-        o = 8
+        omega = 8
         leader_in_group = true
         stragglers = 1, 3
         sweep_n = 10, 12
@@ -29,7 +31,7 @@ class TestConfigParsing:
         cfg = parse_config(text)
         assert cfg.n == 12 and cfg.r == 4
         assert cfg.sigma == 500.0
-        assert cfg.grain == "sample" and cfg.o == 8
+        assert cfg.grain == "sample" and cfg.omega == 8
         assert cfg.leader_in_group is True
         assert cfg.stragglers == (1, 3)
         assert cfg.sweep_n == (10, 12)
@@ -49,10 +51,26 @@ class TestConfigParsing:
         assert load_config(path).seed == 99
 
     def test_round_config_carries_fields(self):
-        cfg = parse_config("n = 9\nr = 3\nstragglers = 2\n")
-        rc = cfg.round_config()
-        assert rc.n == 9 and rc.r == 3
-        assert rc.straggler_ids == frozenset({2})
+        # every shared field set away from its RoundConfig default, each to
+        # its own value, so a dropped or crossed field shows
+        keys = {f.name for f in fields(ExperimentConfig)}
+        shared = [f.name for f in fields(RoundConfig) if f.name in keys]
+        assert shared == [f.name for f in fields(RoundConfig) if f.name != "straggler_ids"]
+        values = dict(
+            n=9, r=3, k=4, t=2, q=5, p=8, sigma=123.0, theta=4.5, radius=1.15, grain="sample", f_degree=2,
+            seed=77, d=6, omega=3, backend="pairing", leader_in_group=True,
+        )
+        assert sorted(values) == sorted(shared)
+        cfg = ExperimentConfig(stragglers=(2, 5), **values)
+        rc, default = cfg.round_config(), RoundConfig(n=1, r=1, k=1, t=1)
+        for name in shared:
+            assert getattr(rc, name) != getattr(default, name), name
+            assert getattr(rc, name) == getattr(cfg, name), name
+        assert rc.straggler_ids == frozenset({2, 5})
+
+    def test_docstring_lists_every_key(self):
+        keys = re.findall(r"^    (\w+) =", config.__doc__, flags=re.MULTILINE)
+        assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -67,7 +85,7 @@ def tiny_cfg(**overrides) -> ExperimentConfig:
         sweep_k=(1, 2),
         sweep_t=(1,),
         reps=2,
-        batch=4,
+        omega=4,
         grain="class",
         seed=11,
     )
@@ -105,27 +123,26 @@ class TestTableError:
         return ExperimentConfig(sweep_n=sweep_n, sweep_k=sweep_k, sweep_t=sweep_t, grain="sample", **overrides)
 
     def test_grid_marks_infeasible(self):
-        table = error_table(self.sweep((12, 4), (2,), (1, 3), reps=2, seed=0, d=5, batch=4))
+        table = error_table(self.sweep((12, 4), (2,), (1, 3), reps=2, seed=0, d=5, omega=4))
         assert table[(4, 2, 3)] is None  # threshold 5 > 4
         assert table[(12, 2, 1)] <= -6
         assert table[(12, 2, 3)] <= -6
 
     def test_table_deterministic(self):
-        a = error_table(self.sweep((10,), (2,), (2,), reps=2, seed=9, d=4, batch=4))
-        b = error_table(self.sweep((10,), (2,), (2,), reps=2, seed=9, d=4, batch=4))
+        a = error_table(self.sweep((10,), (2,), (2,), reps=2, seed=9, d=4, omega=4))
+        b = error_table(self.sweep((10,), (2,), (2,), reps=2, seed=9, d=4, omega=4))
         assert a == b
 
     def test_wider_anchor_circle_also_precise(self):
         # the circle radius is a knob: the error target must hold at 1.15 too
-        table = error_table(self.sweep((20,), (3,), (3,), reps=2, seed=2, d=6, batch=8, radius=1.15))
+        table = error_table(self.sweep((20,), (3,), (3,), reps=2, seed=2, d=6, omega=8, radius=1.15))
         assert table[(20, 3, 3)] <= -6
 
 
 class TestGroupParams:
     """Both sweeps hand every group the config's eight group fields."""
 
-    FIELDS = dict(grain="sample", d=7, batch=5, q=4, sigma=500.0, theta=5.0, radius=1.1, f_degree=2)
-    KEYWORDS = dict(grain="sample", d=7, omega=5, q=4, sigma=500.0, theta=5.0, radius=1.1, f_degree=2)
+    FIELDS = dict(grain="sample", d=7, omega=5, q=4, sigma=500.0, theta=5.0, radius=1.1, f_degree=2)
 
     def test_every_group_gets_the_config_fields(self, tmp_path, monkeypatch):
         calls = []
@@ -140,7 +157,7 @@ class TestGroupParams:
         cmd_table_error(cfg, tmp_path)
         table_calls = [((8, k, 1), [cfg.seed, 8, k, 1, rep]) for k in (1, 2) for rep in range(cfg.reps)]
         assert [(shape, kwargs.pop("seed")) for shape, kwargs in calls] == table_calls
-        assert all(kwargs == self.KEYWORDS for _, kwargs in calls)
+        assert all(kwargs == self.FIELDS for _, kwargs in calls)
 
         calls.clear()
         cmd_timing(cfg, tmp_path)
@@ -148,7 +165,7 @@ class TestGroupParams:
         assert [(shape, kwargs.pop("seed")) for shape, kwargs in calls] == timing_calls
         for _, kwargs in calls:
             assert kwargs.pop("backend") is not None and isinstance(kwargs.pop("perf"), PerfRecorder)
-            assert kwargs == self.KEYWORDS
+            assert kwargs == self.FIELDS
 
 
 class TestShippedConfigs:

@@ -4,7 +4,6 @@ import pytest
 from svafd.filtration import (
     EmptyDataset,
     HashedCal,
-    IntimacyList,
     LshConfig,
     RTooLarge,
     build_topology,
@@ -138,18 +137,15 @@ class TestIntimacy:
 
 class TestSelectGroup:
     def test_top_two(self):
-        ilist = IntimacyList(owner=0, scores=np.array([1.0, 0.9, 0.1, 0.8]))
-        assert select_group(ilist, 2) == [1, 3]
+        assert select_group(0, np.array([1.0, 0.9, 0.1, 0.8]), 2) == [1, 3]
 
     def test_ties_break_by_ascending_id(self):
-        ilist = IntimacyList(owner=2, scores=np.array([0.5, 0.5, 1.0, 0.5, 0.5]))
-        assert select_group(ilist, 2) == [0, 1]
+        assert select_group(2, np.array([0.5, 0.5, 1.0, 0.5, 0.5]), 2) == [0, 1]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(-1, 1, size=100)
-        ilist = IntimacyList(owner=17, scores=scores)
-        got = select_group(ilist, 30)
+        got = select_group(17, scores, 30)
         oracle = sorted((i for i in range(100) if i != 17), key=lambda i: (-scores[i], i))[:30]
         assert got == oracle
 
@@ -163,24 +159,24 @@ class TestSelectGroup:
         scores[rng.choice(n, 20, replace=False)] = rng.uniform(-1, 1, 20)
         owner = n // 2
         for r in (0, 1, 10, n // 2, n - 1):
-            got = select_group(IntimacyList(owner=owner, scores=scores), r)
+            got = select_group(owner, scores, r)
             oracle = sorted((i for i in range(n) if i != owner), key=lambda i: (-scores[i], i))[:r]
             assert got == oracle
             assert all(type(i) is int for i in got)
-        assert sorted(select_group(IntimacyList(owner=owner, scores=scores), n - 1)) == [
+        assert sorted(select_group(owner, scores, n - 1)) == [
             i for i in range(n) if i != owner
         ]
 
     def test_invariant_under_positive_rescale(self):
         rng = np.random.default_rng(9)
         scores = rng.uniform(0.01, 1, size=20)
-        a = select_group(IntimacyList(owner=3, scores=scores), 7)
-        b = select_group(IntimacyList(owner=3, scores=scores * 37.5), 7)
+        a = select_group(3, scores, 7)
+        b = select_group(3, scores * 37.5, 7)
         assert a == b
 
     def test_r_too_large(self):
         with pytest.raises(RTooLarge):
-            select_group(IntimacyList(owner=0, scores=np.zeros(4)), 4)
+            select_group(0, np.zeros(4), 4)
 
 
 class TestTopology:
@@ -217,9 +213,9 @@ def test_intimacy_list_excludes_owner_via_selection():
         2: compute_cal([(1, [-1.0, 0.5]), (2, [1.0, -1.0])]),
     }
     hashed = {cid: lsh_project(c, cfg) for cid, c in cals.items()}
-    ilist = intimacy_list(0, hashed)
-    assert ilist.scores[0] == 1.0
-    assert select_group(ilist, 1) == [1]
+    scores = intimacy_list(0, hashed)
+    assert scores[0] == 1.0
+    assert select_group(0, scores, 1) == [1]
 
 
 def mixed_fingerprints(seed, n=24, d=6, p=5):
@@ -254,8 +250,8 @@ class TestIntimacyMatrix:
         scores = intimacy_matrix(hashed)
         for r in (1, 4, 10, len(hashed) - 1):
             for cid in hashed:
-                got = select_group(IntimacyList(cid, scores[cid]), r)
-                assert got == select_group(intimacy_list(cid, hashed), r)
+                got = select_group(cid, scores[cid], r)
+                assert got == select_group(cid, intimacy_list(cid, hashed), r)
 
     def test_degenerate_fingerprints_score_zero(self):
         scores = intimacy_matrix(mixed_fingerprints(0))
@@ -273,12 +269,12 @@ class TestIntimacyMatrix:
                 assert scores[owner, 1] == scores[owner, 5] == scores[owner, 9]
         # an owner sharing the duplicates' fingerprint ranks its twins first,
         # in ascending id order
-        assert select_group(IntimacyList(5, scores[5]), 2) == [1, 9]
-        assert select_group(IntimacyList(1, scores[1]), 2) == [5, 9]
+        assert select_group(5, scores[5], 2) == [1, 9]
+        assert select_group(1, scores[1], 2) == [5, 9]
 
     def test_missing_ids_score_zero(self):
         hashed = {cid: h for cid, h in mixed_fingerprints(2, n=12).items() if cid != 6}
         scores = intimacy_matrix(hashed)
         assert scores.shape == (12, 12)
         np.testing.assert_array_equal(scores[:, 6], 0.0)
-        np.testing.assert_allclose(scores[0], intimacy_list(0, hashed).scores, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scores[0], intimacy_list(0, hashed), rtol=0, atol=1e-12)

@@ -9,9 +9,9 @@ from svafd.pairing import (
     ORDER,
     Q_FIELD,
     PairingBackend,
+    _batch_to_affine,
     _jac_add_affine,
     _jac_double,
-    _jac_to_affine,
     ec_add,
     tate_pairing,
 )
@@ -29,7 +29,7 @@ def ec_mul(n: int, p) -> tuple | None:
         acc = _jac_double(acc)
         if bit == "1":
             acc = _jac_add_affine(acc, p)
-    return _jac_to_affine(acc)
+    return _batch_to_affine([acc])[0]
 
 
 def test_parameters_consistent():

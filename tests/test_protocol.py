@@ -65,7 +65,7 @@ class TestHonestRound:
         assert sorted(transcript.topology.groups) == list(range(6))
 
     def test_sample_grain_round(self):
-        cfg, transcript = run_small(grain="sample", o=8, k=2, d=5)
+        cfg, transcript = run_small(grain="sample", omega=4, k=2, d=5)
         for res in transcript.group_results.values():
             assert res.verdict == "accept"
             assert res.teacher.shape == (8, 5)
@@ -193,10 +193,10 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             run_round(cfg, workload_provider(cfg))
 
-    def test_sample_grain_needs_divisible_pool(self):
-        cfg = small_cfg(grain="sample", o=7, k=2)
+    def test_sample_grain_needs_positive_omega(self):
+        cfg = small_cfg(grain="sample", omega=0, k=2)
         with pytest.raises(InfeasibleConfig):
-            run_round(cfg, workload_provider(cfg))
+            run_round(cfg, lambda cid: pytest.fail("the round read an input before validating"))
 
     def test_verified_rounds_are_linear_only(self):
         cfg = small_cfg(f_degree=2)
@@ -323,7 +323,7 @@ class TestRoundHotPath:
         cfg, transcript = tampered_round(None, n=16, r=5)
         # the fingerprints every client broadcast, scored pair by pair
         hashed = {m.sender: m.payload for m in messages_of(transcript, kind=HASHED_CAL)}
-        want = {cid: select_group(intimacy_list(cid, hashed), cfg.r) for cid in range(cfg.n)}
+        want = {cid: select_group(cid, intimacy_list(cid, hashed), cfg.r) for cid in range(cfg.n)}
         assert transcript.topology.groups == want
 
     @pytest.mark.parametrize("kind", [None, "share_tamper", "weight_tamper", "server_tamper"])
@@ -444,14 +444,14 @@ class TestBundlesDroppedAfterEncode:
 
     @pytest.mark.parametrize("grain", ["class", "sample"])
     def test_exchange_drops_every_bundle_and_keeps_the_oracle(self, grain):
-        cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain=grain, o=8)
+        cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain=grain, omega=4)
         rng = np.random.default_rng(5)
         group = prepared_group(rng, 6, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r), stragglers={3})
         prepared = dict(group.bundles)
         assert list(prepared) == [0, 1, 2, 4, 5] and group.live == (0, 1, 2, 4, 5)
         weights = dict(zip(group.plan.members, group.plan.weights))
         want = protocol._oracle_teacher(prepared, weights, protocol.coding.monomial(1), grain, cfg.k)
-        protocol._exchange(group, MessageBus(protocol.RoundTranscript(config_digest="")))
+        protocol._exchange(group, MessageBus(protocol.RoundTranscript()))
         assert group.bundles == {}
         assert group.oracle.dtype == want.dtype and group.oracle.tobytes() == want.tobytes()
 
@@ -488,7 +488,7 @@ class TestGroupOverFreshBus:
             cfg, self.LEADER, range(cfg.r), rng, lambda z: (rng.uniform(-10, 10, (cfg.d, cfg.d)), rng),
             MockBackend(), PerfRecorder(),
         )
-        bus = MessageBus(protocol.RoundTranscript(config_digest=""))
+        bus = MessageBus(protocol.RoundTranscript())
         bus.mutations.update(protocol._resolve_tamper(tamper, group.plan, group.live))
         protocol._exchange(group, bus)
         server = [
@@ -632,7 +632,7 @@ class TestBusMutation:
         delivered = {m.sender: m.payload for m in messages_of(transcript, kind=HASHED_CAL)}
         digests = {c: protocol.payload_digest(h) for c, h in delivered.items()}
         assert digests == {c: protocol.payload_digest(h) for c, h in {**sent, 0: sent[15]}.items()}
-        want = {cid: select_group(intimacy_list(cid, delivered), cfg.r) for cid in range(cfg.n)}
+        want = {cid: select_group(cid, intimacy_list(cid, delivered), cfg.r) for cid in range(cfg.n)}
         assert transcript.topology.groups == want
         assert want != honest.topology.groups
         assert want[0] != honest.topology.groups[0]
@@ -726,7 +726,7 @@ class TestDegreeOneOracle:
     @pytest.mark.parametrize("grain", ["class", "sample"])
     @pytest.mark.parametrize("deg", [1, 2])
     def test_matches_per_slot_horner(self, grain, deg):
-        cfg = RoundConfig(n=8, r=7, k=3, t=1, q=3, d=5, grain=grain, o=12)
+        cfg = RoundConfig(n=8, r=7, k=3, t=1, q=3, d=5, grain=grain, omega=4)
         rng = np.random.default_rng(31)
         group = prepared_group(rng, 7, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r))
         weights = dict(zip(group.plan.members, group.plan.weights))
