@@ -95,7 +95,12 @@ class SplitBundle:
         return self.noise.shape[0]
 
     def blocks(self) -> np.ndarray:
-        return np.concatenate([self.slices.astype(complex), self.noise])
+        """The k slices then the t noise slices, in one complex array."""
+        k = self.k
+        out = np.empty((k + self.t,) + self.slices.shape[1:], dtype=complex)
+        out[:k] = self.slices
+        out[k:] = self.noise
+        return out
 
 
 def split(logits: np.ndarray, k: int, grain: str, rng=None, quantize_digits: int | None = None) -> SplitBundle:
@@ -153,8 +158,12 @@ def blind(bundle: SplitBundle, t: int, sigma: float, theta: float, rng) -> Split
     std = sigma / np.sqrt(t)
     bound = theta * std
     shape = (t,) + bundle.slices.shape[1:]
-    noise = _truncated_normal(rng, std, bound, shape) + 1j * _truncated_normal(rng, std, bound, shape)
-    return SplitBundle(slices=bundle.slices, noise=np.concatenate([bundle.noise, noise]), grain=bundle.grain)
+    noise = np.empty(shape, dtype=complex)
+    noise.real = _truncated_normal(rng, std, bound, shape)  # the real parts are drawn first
+    noise.imag = _truncated_normal(rng, std, bound, shape)
+    if bundle.t:
+        noise = np.concatenate([bundle.noise, noise])
+    return SplitBundle(slices=bundle.slices, noise=noise, grain=bundle.grain)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ topology.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +73,16 @@ def compute_cal(dataset_logits) -> CalMatrix:
     return CalMatrix(per_class_mean_logits=means, class_counts=counts)
 
 
+@functools.lru_cache(maxsize=64)
 def projection_matrix(d: int, cfg: LshConfig) -> np.ndarray:
-    """The shared d x p standard-normal projection, deterministic in the seed."""
+    """The shared d x p standard-normal projection, deterministic in the seed.
+
+    Drawn once per (d, cfg) and read-only: every client of a round projects
+    through the same matrix."""
     rng = np.random.default_rng(cfg.projection_seed)
-    return rng.standard_normal((d, cfg.p))
+    m = rng.standard_normal((d, cfg.p))
+    m.setflags(write=False)
+    return m
 
 
 def lsh_project(cal: CalMatrix, cfg: LshConfig) -> HashedCal:

@@ -7,6 +7,7 @@ tensor-valued data, and the relative-error metric.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,9 @@ def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class InterpolationNodes:
     """Evaluation points (one per group member) and anchor points (one per
-    data/noise slice), all on a circle of the given radius around 0."""
+    data/noise slice), all on a circle of the given radius around 0. Both
+    arrays are read-only, so one node set can be shared by every group of
+    its shape."""
 
     alphas: np.ndarray
     betas: np.ndarray
@@ -60,7 +63,20 @@ class InterpolationNodes:
         if _min_cross_distance(alphas, betas) < tol:
             raise NodeCollision("an evaluation point coincides with an anchor point")
 
+    @functools.cached_property
+    def _lagrange(self) -> np.ndarray:
+        alphas, betas = self.alphas, self.betas
+        diffb = betas[:, None] - betas[None, :]
+        np.fill_diagonal(diffb, 1.0)
+        w = 1.0 / diffb.prod(axis=1)
+        da = alphas[None, :] - betas[:, None]  # (m, group_size), never zero
+        full = da.prod(axis=0)
+        lag = w[:, None] * full[None, :] / da
+        lag.setflags(write=False)
+        return lag
 
+
+@functools.lru_cache(maxsize=256)
 def make_nodes(
     group_size: int,
     k: int,
@@ -77,6 +93,9 @@ def make_nodes(
     structure), it is instead rotated by half the spacing of the merged
     grid, which can never land on an anchor. Raises NodeCollision when
     collisions remain.
+
+    Memoized on its arguments: every group of one shape gets the same
+    (frozen, read-only) node set, and with it one Lagrange matrix.
     """
     if group_size < 1 or k < 1 or t < 0:
         raise ValueError("need group_size >= 1, k >= 1, t >= 0")
@@ -98,15 +117,10 @@ def lagrange_matrix(nodes: InterpolationNodes) -> np.ndarray:
     """Matrix L with L[j, x] = l_{j+1}(alpha_x), shape (k+t, group_size).
 
     Computed in barycentric form: l_j(x) = w_j * prod_l(x - beta_l) / (x - beta_j)
-    with w_j = 1 / prod_{l != j}(beta_j - beta_l).
+    with w_j = 1 / prod_{l != j}(beta_j - beta_l). Built once per node set,
+    on first use, and read-only.
     """
-    alphas, betas = nodes.alphas, nodes.betas
-    diffb = betas[:, None] - betas[None, :]
-    np.fill_diagonal(diffb, 1.0)
-    w = 1.0 / diffb.prod(axis=1)
-    da = alphas[None, :] - betas[:, None]  # (m, group_size), never zero
-    full = da.prod(axis=0)
-    return w[:, None] * full[None, :] / da
+    return nodes._lagrange
 
 
 def interpolate(points, targets) -> list[np.ndarray]:

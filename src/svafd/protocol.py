@@ -91,9 +91,17 @@ class RoundConfig:
         return self.r + (1 if self.leader_in_group else 0)
 
     def tensor_shape(self) -> tuple[int, int]:
+        """Shape of one slice, and of the blind factor."""
         if self.grain == "class":
             return (self.d, self.d)
         return (self.omega, self.d)
+
+    def logits_shape(self) -> tuple[int, int]:
+        """Shape of one client's logits: the (d, d) matrix for class grain,
+        omega * k rows of d for sample grain (k slices of omega rows)."""
+        if self.grain == "class":
+            return (self.d, self.d)
+        return (self.omega * self.k, self.d)
 
     def validate(self):
         if self.r > self.n - 1:
@@ -136,6 +144,7 @@ class GroupResult:
 
 
 _quote = functools.cache(json.dumps)  # JSON text of a message kind or stage name
+_EXPORT_CHUNK = 1024  # message lines joined at a time by `export_jsonl`
 
 
 @functools.cache
@@ -166,7 +175,7 @@ def _feed(h, obj):
         h.update(b"A")
         h.update(_dtype_bytes(obj.dtype))
         h.update(str(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
+        h.update(np.ascontiguousarray(obj))  # the buffer itself, not a bytes copy
     elif layout == "D":
         h.update(b"D")
         for key in sorted(obj, key=repr):
@@ -201,23 +210,28 @@ class RoundTranscript:
         """One JSON line per message (sorted keys, payload as its SHA-256),
         then one per group result in leader order.
 
-        A payload sent to many receivers (a group's plan, sent to every
-        member) is digested once per call: digests are memoized by
-        id(payload), which is sound because the transcript keeps every
-        payload alive for the whole call. The memo is local, so a later export re-digests
-        everything and sees any message appended since.
+        The export streams. A message whose payload is the very object of
+        the message before it (a group's invite and plan, sent to each
+        member in turn) reuses that digest; every other payload is digested
+        afresh, so the memo holds one payload and nothing carries over to a
+        later export. Each line carries its newline. Lines are joined
+        `_EXPORT_CHUNK` at a time and the chunks once, into the result, so
+        besides the result the export holds the joined chunks and at most
+        one chunk of line strings, and never copies the whole text again.
         """
-        digests: dict[int, str] = {}
-        lines = []
+        chunks, lines = [], []
+        last = digest = None
         for m in self.messages:
-            digest = digests.get(id(m.payload))
-            if digest is None:
-                digest = digests[id(m.payload)] = payload_digest(m.payload)
+            if digest is None or m.payload is not last:
+                last, digest = m.payload, payload_digest(m.payload)
             # the same bytes as json.dumps(..., sort_keys=True) of the record
             lines.append(
                 f'{{"from": {m.sender}, "kind": {_quote(m.kind)}, "payload_sha256": "{digest}", '
-                f'"seq": {m.seq}, "stage": {_quote(m.stage)}, "to": {m.receiver}}}'
+                f'"seq": {m.seq}, "stage": {_quote(m.stage)}, "to": {m.receiver}}}\n'
             )
+            if len(lines) == _EXPORT_CHUNK:
+                chunks.append("".join(lines))
+                lines.clear()
         for leader in sorted(self.group_results):
             res = self.group_results[leader]
             lines.append(
@@ -233,8 +247,10 @@ class RoundTranscript:
                     },
                     sort_keys=True,
                 )
+                + "\n"
             )
-        return "\n".join(lines) + "\n"
+        chunks.append("".join(lines))
+        return "".join(chunks) or "\n"  # an empty transcript exports one empty line
 
 
 class MessageBus:
@@ -486,8 +502,9 @@ def _exchange(group: _Group, bus) -> None:
     aggregate, naming their senders, to the server."""
     cfg, plan, perf = group.cfg, group.plan, group.perf
     leader, send = plan.leader, bus.send
+    invite = {"leader": leader}
     for member in plan.members:
-        send(GROUP_INVITE, leader, member, {"leader": leader})
+        send(GROUP_INVITE, leader, member, invite)
     distribution = dict(
         leader=leader, lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members
     )
@@ -650,10 +667,10 @@ def run_single_group(
         n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, radius=radius, grain=grain, f_degree=f_degree, d=d,
         omega=omega,
     )
-    rows = d if grain == "class" else omega * k
+    shape = cfg.logits_shape()
 
     def inputs(z):
-        return (logits[z] if logits is not None else rng.uniform(-10, 10, (rows, d))), rng
+        return (logits[z] if logits is not None else rng.uniform(-10, 10, shape)), rng
 
     perf = perf if perf is not None else PerfRecorder()
     group = _prepare(cfg, r, range(r), rng, inputs, backend, perf)

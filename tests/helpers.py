@@ -74,9 +74,9 @@ def ec_neg(p):
 def prepared_group(rng, leader, cfg, low, high, backend=None, weights=None, stragglers=()):
     """Preparation for members 0..r-1, each drawing uniform [low, high)
     logits from rng; the group state still holds every live bundle."""
-    rows = cfg.d if cfg.grain == "class" else cfg.omega * cfg.k
+    shape = cfg.logits_shape()
     return protocol._prepare(
-        cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, (rows, cfg.d)), rng), backend,
+        cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, shape), rng), backend,
         protocol.PerfRecorder(), stragglers=stragglers, weights=weights,
     )
 

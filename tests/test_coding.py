@@ -19,6 +19,7 @@ from svafd.coding import (
     noise_coeff_submatrix,
     quantize,
     split,
+    _truncated_normal,
 )
 from svafd.numerics import make_nodes, relative_error
 
@@ -113,6 +114,22 @@ class TestBlind:
         n1 = blind(b, 3, 10.0, 6.0, np.random.default_rng(42)).noise
         n2 = blind(b, 3, 10.0, 6.0, np.random.default_rng(42)).noise
         np.testing.assert_array_equal(n1, n2)
+
+    def test_real_parts_drawn_before_imaginary_parts(self):
+        b = split(np.eye(4), 1, "class")
+        noise = blind(b, 3, 10.0, 6.0, np.random.default_rng(42)).noise
+        rng, std = np.random.default_rng(42), 10.0 / np.sqrt(3)
+        real = _truncated_normal(rng, std, 6.0 * std, noise.shape)
+        imag = _truncated_normal(rng, std, 6.0 * std, noise.shape)
+        assert noise.dtype == complex and noise.tobytes() == (real + 1j * imag).tobytes()
+
+    def test_noise_appends_and_blocks_follow_slices(self):
+        rng = np.random.default_rng(8)
+        once = blind(split(rng.uniform(-5, 5, (6, 3)), 2, "sample"), 2, 10.0, 6.0, rng)
+        twice = blind(once, 1, 10.0, 6.0, rng)
+        assert twice.t == 3 and np.array_equal(twice.noise[:2], once.noise)
+        want = np.concatenate([twice.slices.astype(complex), twice.noise])
+        assert twice.blocks().dtype == complex and twice.blocks().tobytes() == want.tobytes()
 
 
 class TestEncode:

@@ -12,6 +12,7 @@ from svafd.filtration import (
     intimacy_list,
     intimacy_matrix,
     lsh_project,
+    projection_matrix,
     select_group,
 )
 from svafd.workload import dirichlet_population, gen_logits
@@ -76,6 +77,13 @@ class TestComputeCal:
 
 class TestLshProject:
     CFG = LshConfig(projection_seed=42, p=8)
+
+    def test_projection_drawn_once_per_config_and_read_only(self):
+        m = projection_matrix(5, LshConfig(projection_seed=42, p=8))
+        assert projection_matrix(5, self.CFG) is m
+        assert m.tobytes() == np.random.default_rng(42).standard_normal((5, 8)).tobytes()
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
     def test_zero_cal_projects_to_zero(self):
         cal = compute_cal([(1, [0.0, 0.0])])

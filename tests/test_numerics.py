@@ -23,6 +23,24 @@ def poly_eval(coeffs, x):
     return acc
 
 
+class TestSharedNodes:
+    """A node set and its Lagrange matrix are built once per shape, equal a
+    fresh build, and cannot be written."""
+
+    def test_memo_equals_fresh_and_is_read_only(self):
+        nodes = make_nodes(12, 3, 2, radius=1.15)
+        fresh = make_nodes.__wrapped__(12, 3, 2, radius=1.15)
+        assert make_nodes(12, 3, 2, radius=1.15) is nodes and fresh is not nodes
+        lag = lagrange_matrix(nodes)
+        assert lagrange_matrix(nodes) is lag
+        for got, want in ((nodes.alphas, fresh.alphas), (nodes.betas, fresh.betas), (lag, lagrange_matrix(fresh))):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        with pytest.raises(AttributeError):
+            nodes.radius = 2.0
+
+
 class TestMakeNodes:
     def test_raw_roots_of_unity_collide(self):
         alphas = np.exp(-2j * np.pi * np.arange(4) / 4)

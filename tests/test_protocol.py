@@ -198,6 +198,14 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             run_round(cfg, lambda cid: pytest.fail("the round read an input before validating"))
 
+    @pytest.mark.parametrize("grain", ["class", "sample"])
+    def test_logits_split_into_k_slices_of_tensor_shape(self, grain):
+        cfg = small_cfg(grain=grain, omega=4, k=3, d=5)
+        assert cfg.logits_shape() == ((5, 5) if grain == "class" else (12, 5))
+        logits = np.random.default_rng(2).uniform(-1, 1, cfg.logits_shape())
+        bundle = protocol.coding.split(logits, cfg.k, grain, rng=np.random.default_rng(3))
+        assert bundle.slices.shape == (cfg.k, *cfg.tensor_shape())
+
     def test_verified_rounds_are_linear_only(self):
         cfg = small_cfg(f_degree=2)
         with pytest.raises(InfeasibleConfig):
@@ -437,6 +445,81 @@ class TestTimerRecordsOnRaise:
         assert rec.counts == {("server", "decode"): 4}
         assert len(rec.samples[("server", "decode")]) == 2
         assert all(s >= 0.0 for s in rec.samples[("server", "decode")])
+
+
+class TestTranscriptBytes:
+    """The SHA-256 of `export_jsonl` on seeded mock rounds (n=10, r=4, k=2,
+    t=1, seed 1; tampers aimed at group 4 with stragglers 2 and 7). A change
+    that keeps transcripts byte-identical keeps every value; one that alters
+    the transcript on purpose updates them and says so."""
+
+    HONEST = {"straggler_ids": frozenset()}
+    ROUNDS = {  # name: (tamper kind, round overrides, SHA-256 of the export)
+        "honest": (None, HONEST, "7f4ca0cd4cec8bbebd96931f6bfa87d1f92b3f977750d740d17ebe92508dff42"),
+        "stragglers": (None, {}, "f0e0053cb8ef59d09b362ae7c16920036c6fe7d2b85ae483fae9ed0dbbb174fb"),
+        "share_tamper": ("share_tamper", {}, "cf1673399bf3cd93066face8676a398f54a2a6d92db2b28c6efb2ce3f3ffa49e"),
+        "weight_tamper": ("weight_tamper", {}, "87b43e84b8462d8b21c69a70cbd47e9eca08683045d6fa97317df45f0ee085cf"),
+        "server_tamper": ("server_tamper", {}, "5b7f7a5882158de0b92d9b0635328890e8c8f3cdcacca596f404f245a097f5fe"),
+        "sample_grain": (
+            None, {**HONEST, "grain": "sample", "omega": 4},
+            "1e5355bc26191d15b491f995249a0f1adc89256a9a8916fb6417a7faf9d3e587",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUNDS))
+    def test_export_sha256_pinned(self, name):
+        kind, overrides, want = self.ROUNDS[name]
+        _, transcript = tampered_round(kind, **overrides)
+        assert hashlib.sha256(transcript.export_jsonl().encode()).hexdigest() == want
+
+
+class TestStreamedExport:
+    """`export_jsonl` memoizes only the previous message's payload and joins
+    its lines in chunks; the text is the reference exporter's."""
+
+    PAYLOADS = {
+        "A": {"leader": 0, "lagrange": np.arange(6.0).reshape(2, 3) + 1j},
+        "B": {"leader": 0, "lagrange": np.zeros((2, 3), dtype=complex)},
+    }
+
+    @pytest.mark.parametrize("order", ["AA", "ABA", "ABAB"])
+    def test_repeated_payload_object_matches_reference(self, order, monkeypatch):
+        monkeypatch.setattr(protocol, "_EXPORT_CHUNK", 2)  # "AA" fills one chunk exactly
+        transcript = protocol.RoundTranscript()
+        bus = MessageBus(transcript)
+        for member, name in enumerate(order):
+            bus.send(PLAN_DISTRIBUTION, 0, member + 1, self.PAYLOADS[name])
+        text = transcript.export_jsonl()
+        assert text == reference_export_jsonl(transcript)
+        digests = [json.loads(line)["payload_sha256"] for line in text.splitlines()]
+        assert [digests.index(d) for d in digests] == [order.index(name) for name in order]
+
+    def test_empty_transcript(self):
+        assert protocol.RoundTranscript().export_jsonl() == reference_export_jsonl(protocol.RoundTranscript()) == "\n"
+
+    def test_group_sends_one_invite_and_one_plan_object(self):
+        _, transcript = tampered_round(None)
+        for kind in (GROUP_INVITE, PLAN_DISTRIBUTION):
+            objects = {}
+            for m in messages_of(transcript, kind=kind):
+                if m.receiver != SERVER:
+                    objects.setdefault(m.sender, set()).add(id(m.payload))
+            assert sorted(objects) == list(range(10)) and all(len(ids) == 1 for ids in objects.values())
+
+    def test_transient_memory_bounded_by_the_text(self):
+        import tracemalloc
+
+        cfg = RoundConfig(n=40, r=10, k=2, t=1, backend="mock", seed=5, straggler_ids=frozenset({0, 24, 30, 32}))
+        transcript = run_round(cfg, workload_provider(cfg, alpha=1.0, samples=120))
+        transcript.export_jsonl()  # warm: the module's small caches
+        tracemalloc.start()
+        try:
+            text = transcript.export_jsonl()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(transcript.messages) > 4 * protocol._EXPORT_CHUNK
+        assert peak <= 3 * len(text), peak / len(text)
 
 
 class TestBundlesDroppedAfterEncode:
