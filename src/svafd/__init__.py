@@ -9,4 +9,4 @@ poisoning scenarios checked against a plaintext oracle.
 
 __version__ = "0.1.0"
 
-from . import cli, coding, config, filtration, numerics, protocol, sigcrypto, threats, workload  # noqa: E402,F401
+from . import coding, config, filtration, numerics, protocol, sigcrypto, threats, workload  # noqa: E402,F401

@@ -158,7 +158,7 @@ def cmd_attack_suite(cfg: ExperimentConfig, out_dir: Path) -> Path:
     for kind in cfg.attacks:
         if kind in CLIENT_KINDS:
             spec = _attack_spec(kind, cfg, victims)
-            provider = poison_provider(base, {v: spec for v in victims}, seed=cfg.seed)
+            provider = poison_provider(base, {v: spec for v in victims}, round_cfg.grain, seed=cfg.seed)
             transcript = run_round(round_cfg, provider)
             rows.append(_suite_row(kind, transcript, set(victims)))
         elif kind in TAMPER_KINDS:

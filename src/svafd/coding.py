@@ -84,7 +84,6 @@ class SplitBundle:
 
     slices: np.ndarray  # (k, omega, d) real
     noise: np.ndarray   # (t, omega, d) complex
-    grain: str
 
     @property
     def k(self) -> int:
@@ -135,7 +134,7 @@ def split(logits: np.ndarray, k: int, grain: str, rng=None, quantize_digits: int
     else:
         raise ValueError(f"unknown grain {grain!r}")
     empty = np.zeros((0,) + slices.shape[1:], dtype=complex)
-    return SplitBundle(slices=slices, noise=empty, grain=grain)
+    return SplitBundle(slices=slices, noise=empty)
 
 
 def _truncated_normal(rng, std: float, bound: float, shape) -> np.ndarray:
@@ -163,7 +162,7 @@ def blind(bundle: SplitBundle, t: int, sigma: float, theta: float, rng) -> Split
     noise.imag = _truncated_normal(rng, std, bound, shape)
     if bundle.t:
         noise = np.concatenate([bundle.noise, noise])
-    return SplitBundle(slices=bundle.slices, noise=noise, grain=bundle.grain)
+    return SplitBundle(slices=bundle.slices, noise=noise)
 
 
 @dataclass(frozen=True)

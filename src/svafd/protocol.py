@@ -387,7 +387,7 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
     no share) or whose sender is its receiver (that share never crosses the
     bus), and a weight tamper on the plan of a member that is not live (it
     takes no plan) or on the weight of a sender that is not live (no share
-    of it is aggregated under that weight)."""
+    of it is aggregated under that weight), and a tamper of any other kind."""
     leader = plan.leader
     if tamper is None or tamper.leader != leader:
         return {}
@@ -430,7 +430,7 @@ def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
             return {**payload, "decoded": decoded}
 
         return {(DECODED_RESULT, SERVER, leader, None): mutate}
-    return {}
+    raise ValueError(f"tamper kind {tamper.kind!r} hits no message (group {leader})")
 
 
 @dataclass
@@ -643,30 +643,21 @@ def run_single_group(
     k: int,
     t: int,
     *,
-    grain: str = "sample",
-    d: int = 10,
-    omega: int = 32,
-    q: int = 3,
-    sigma: float = 1e3,
-    theta: float = 6.0,
-    radius: float = 1.0,
-    f_degree: int = 1,
     seed=0,
     backend=None,
     perf: PerfRecorder | None = None,
     logits: dict | None = None,
+    **params,
 ) -> GroupResult:
     """One group's pipeline outside a round, over a fresh bus: the
     relative-error measurement path for the error table's cells, and the
     stage-timing path when a backend is given (signatures, proof and
-    verification included)."""
-    if backend is not None and f_degree != 1:
+    verification included). params are `RoundConfig` group fields (grain,
+    d, omega, q, sigma, theta, radius, f_degree), at its defaults when left out."""
+    cfg = RoundConfig(n=r, r=r, k=k, t=t, **params)
+    if backend is not None and cfg.f_degree != 1:
         raise ValueError("proof verification covers degree-1 aggregation only")
     rng = np.random.default_rng([seed, r, k, t] if isinstance(seed, int) else seed)
-    cfg = RoundConfig(
-        n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, radius=radius, grain=grain, f_degree=f_degree, d=d,
-        omega=omega,
-    )
     shape = cfg.logits_shape()
 
     def inputs(z):

@@ -1,7 +1,8 @@
 """Adversary harness: poisoning generators, integrity tampers, and
 filtration-quality metrics.
 
-Client-side kinds fabricate or distort the logits a poisoner submits;
+Client-side kinds fabricate or distort the logits a poisoner submits, its
+fingerprint samples and its knowledge matrix through one transform of rows;
 tamper kinds mutate one value in flight (an encoded share entry, an
 aggregation weight in one member's plan, or a decoded teacher entry) to probe
 that verification catches the smallest representable lie; the protocol turns
@@ -45,68 +46,54 @@ def _flip_permutation(spec: AttackSpec, d: int) -> np.ndarray:
     return perm
 
 
-def apply_attack(spec: AttackSpec, honest_logits: np.ndarray, rng=None) -> np.ndarray:
-    """Transform one victim's knowledge matrix according to the attack kind."""
+def _poison(spec: AttackSpec, rows: np.ndarray, rng, class_axis: int | None) -> np.ndarray:
+    """A client kind's transform of a (count, d) array of logits rows.
+
+    label_flip reports class c as class perm[c] (0-based): the entries for
+    class c along class_axis move to index perm[c]. With class_axis None the
+    rows stay and the caller relabels them. colluding_copy leaves the rows
+    as they are: `poison_provider` hands every colluder its source's output.
+    """
     if spec.kind not in CLIENT_KINDS:
         raise KindMismatch(f"{spec.kind} is not a client-side attack")
-    logits = np.asarray(honest_logits, dtype=float)
+    rng = rng if rng is not None else np.random.default_rng(0)
     if spec.kind == "random_logits":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        lo, hi = float(logits.min()), float(logits.max())
-        if lo == hi:
-            hi = lo + 1.0
-        return rng.uniform(lo, hi, logits.shape)
-    if spec.kind == "label_flip":
-        d = logits.shape[1]
-        perm = _flip_permutation(spec, d)
-        if logits.shape[0] == d:
-            return logits[perm]  # class rows carry the labels
-        return logits[:, perm]  # per-sample rows: class scores move
+        lo, hi = float(rows.min()), float(rows.max())
+        return rng.uniform(lo, hi if hi > lo else lo + 1.0, rows.shape)
     if spec.kind == "scale":
-        return logits * float(spec.params.get("factor", 1.0))
+        return rows * float(spec.params.get("factor", 1.0))
     if spec.kind == "additive_noise":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        return logits + rng.normal(0.0, float(spec.params.get("sigma", 1.0)), logits.shape)
-    if spec.kind == "colluding_copy":
-        shared = spec.params.get("shared")
-        return logits if shared is None else np.array(shared, dtype=float)
-    raise AssertionError(spec.kind)
+        return rows + rng.normal(0.0, float(spec.params.get("sigma", 1.0)), rows.shape)
+    if spec.kind == "label_flip" and class_axis is not None:
+        return np.take(rows, np.argsort(_flip_permutation(spec, rows.shape[1])), axis=class_axis)
+    return rows
+
+
+def apply_attack(spec: AttackSpec, honest_logits: np.ndarray, grain: str, rng=None) -> np.ndarray:
+    """Transform one victim's knowledge matrix according to the attack kind:
+    class grain's row c is class c's mean, sample grain's rows score the d
+    classes of the public pool's samples."""
+    if grain not in ("class", "sample"):
+        raise ValueError(f"unknown grain {grain!r}")
+    return _poison(spec, np.asarray(honest_logits, dtype=float), rng, 0 if grain == "class" else 1)
 
 
 def poison_samples(spec: AttackSpec, samples, rng=None) -> list:
     """Apply the matching transformation to a victim's raw (label, row)
-    samples so its fingerprint reflects the poisoned knowledge."""
-    if spec.kind not in CLIENT_KINDS:
-        raise KindMismatch(f"{spec.kind} is not a client-side attack")
-    samples = [(int(y), np.asarray(row, dtype=float)) for y, row in samples]
+    samples so its fingerprint reflects the poisoned knowledge; label_flip
+    moves the labels, not the rows."""
     if not samples:
-        return samples
-    d = len(samples[0][1])
-    if spec.kind == "random_logits":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        allv = np.concatenate([row for _, row in samples])
-        lo, hi = float(allv.min()), float(allv.max())
-        if lo == hi:
-            hi = lo + 1.0
-        return [(y, rng.uniform(lo, hi, d)) for y, _ in samples]
+        return []
+    labels = np.array([y for y, _ in samples], dtype=int)
+    rows = _poison(spec, np.array([row for _, row in samples], dtype=float), rng, None)
     if spec.kind == "label_flip":
-        perm = _flip_permutation(spec, d)
-        return [(int(perm[y - 1]) + 1, row) for y, row in samples]
-    if spec.kind == "scale":
-        factor = float(spec.params.get("factor", 1.0))
-        return [(y, row * factor) for y, row in samples]
-    if spec.kind == "additive_noise":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        sig = float(spec.params.get("sigma", 1.0))
-        return [(y, row + rng.normal(0.0, sig, d)) for y, row in samples]
-    if spec.kind == "colluding_copy":
-        shared = spec.params.get("shared_samples")
-        return samples if shared is None else [(int(y), np.asarray(r, float)) for y, r in shared]
-    raise AssertionError(spec.kind)
+        labels = _flip_permutation(spec, rows.shape[1])[labels - 1] + 1
+    return [(int(y), row) for y, row in zip(labels, rows)]
 
 
-def poison_provider(provider, specs_by_victim: dict, seed=0):
-    """Wrap a logits provider so victims emit attacked samples and matrices.
+def poison_provider(provider, specs_by_victim: dict, grain: str, seed=0):
+    """Wrap a logits provider so victims emit attacked samples and matrices
+    of the given grain.
 
     colluding_copy victims all emit the designated source victim's output.
     """
@@ -124,10 +111,9 @@ def poison_provider(provider, specs_by_victim: dict, seed=0):
             out = ([(y, row.copy()) for y, row in samples], matrix.copy())
         else:
             samples, matrix = provider(cid)
-            rng = np.random.default_rng([seed, 11, cid])
             out = (
-                poison_samples(spec, samples, rng=rng),
-                apply_attack(spec, matrix, rng=np.random.default_rng([seed, 12, cid])),
+                poison_samples(spec, samples, rng=np.random.default_rng([seed, 11, cid])),
+                apply_attack(spec, matrix, grain, rng=np.random.default_rng([seed, 12, cid])),
             )
         cache[cid] = out
         return out

@@ -1,4 +1,8 @@
+import hashlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -234,6 +238,29 @@ class TestAttackSuite:
     def test_unknown_attack_kind_fails(self, tmp_path):
         with pytest.raises(ValueError):
             cmd_attack_suite(tiny_cfg(attacks=("nonsense",)), tmp_path)
+
+    def test_poisoners_get_the_round_grain(self, tmp_path, monkeypatch):
+        grains = []
+
+        def record(provider, specs, grain, seed=0):
+            grains.append(grain)
+            return provider
+
+        monkeypatch.setattr(cli, "poison_provider", record)
+        cmd_attack_suite(tiny_cfg(grain="sample", attacks=("label_flip", "scale")), tmp_path)
+        assert grains == ["sample", "sample"]
+
+    def test_shipped_suite_pinned(self, tmp_path):
+        # the module runs warning-free as a script: importing svafd must not load svafd.cli first
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-W", "error", "-m", "svafd.cli", "attack-suite",
+             "--config", str(CONFIGS / "attack_suite.cfg"), "--out", str(tmp_path)],
+            check=True, env=env, capture_output=True,
+        )
+        digest = hashlib.sha256((tmp_path / "attack_suite.csv").read_bytes()).hexdigest()
+        assert digest == "717432daedd99f53a775ba1b7ef4d67587267b111fe5551d8062af5007475214"
 
 
 class TestSingleRound:

@@ -542,10 +542,10 @@ class TestBundlesDroppedAfterEncode:
         import tracemalloc
 
         r, k, t, omega, d = 40, 20, 10, 32, 10
-        run_single_group(r, k, t, omega=omega, d=d, seed=1)  # warm: imports, caches
+        run_single_group(r, k, t, grain="sample", omega=omega, d=d, seed=1)  # warm: imports, caches
         tracemalloc.start()
         try:
-            run_single_group(r, k, t, omega=omega, d=d, seed=1)
+            run_single_group(r, k, t, grain="sample", omega=omega, d=d, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -757,6 +757,12 @@ class TestTamperHitsAMessage:
     @pytest.mark.parametrize("kind, leader", [("share_tamper", 3), ("weight_tamper", 0), ("weight_tamper", 1)])
     def test_tamper_on_a_live_member_rejects(self, kind, leader):
         assert self.run(kind, leader).group_results[leader].verdict == "reject"
+
+    def test_unknown_tamper_kind(self):
+        # a kind the bus has no mutation for would otherwise pass as honest
+        cfg = small_cfg(**self.SHAPE)
+        with pytest.raises(ValueError, match="'fry' hits no message"):
+            run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=threats.RoundTamper("fry", leader=3))
 
 
 class TestTamperOnAStraggler:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svafd.filtration import build_topology, intimacy
+from svafd.filtration import build_topology, compute_cal, intimacy
 from svafd.protocol import RoundConfig, run_round, workload_provider
 from svafd.threats import (
     AttackSpec,
@@ -12,40 +12,41 @@ from svafd.threats import (
     poison_samples,
     score_filtration,
 )
+from svafd.workload import dirichlet_population, gen_logits
 
 
 class TestApplyAttack:
     def test_scale_factor_one_is_identity(self):
         logits = np.arange(9.0).reshape(3, 3)
-        out = apply_attack(AttackSpec("scale", {"factor": 1.0}), logits)
+        out = apply_attack(AttackSpec("scale", {"factor": 1.0}), logits, "class")
         np.testing.assert_array_equal(out, logits)
 
     def test_label_flip_identity_permutation(self):
         logits = np.arange(9.0).reshape(3, 3)
-        out = apply_attack(AttackSpec("label_flip"), logits)
+        out = apply_attack(AttackSpec("label_flip"), logits, "class")
         np.testing.assert_array_equal(out, logits)
 
     def test_label_flip_swaps_class_rows(self):
         spec = AttackSpec("label_flip", {"permutation": [1, 0, 2]})
-        out = apply_attack(spec, np.eye(3))
+        out = apply_attack(spec, np.eye(3), "class")
         np.testing.assert_array_equal(out, np.eye(3)[[1, 0, 2]])
 
     def test_label_flip_on_sample_rows_moves_columns(self):
         spec = AttackSpec("label_flip", {"permutation": [1, 0]})
         logits = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = apply_attack(spec, logits)
+        out = apply_attack(spec, logits, "sample")
         np.testing.assert_array_equal(out, logits[:, [1, 0]])
 
     def test_random_logits_stay_in_honest_range(self):
         rng = np.random.default_rng(0)
         logits = rng.uniform(-4.0, 9.0, (6, 6))
-        out = apply_attack(AttackSpec("random_logits"), logits, rng=rng)
+        out = apply_attack(AttackSpec("random_logits"), logits, "class", rng=rng)
         assert out.min() >= logits.min() and out.max() <= logits.max()
         assert not np.allclose(out, logits)
 
     def test_tamper_kind_rejected_client_side(self):
         with pytest.raises(KindMismatch):
-            apply_attack(AttackSpec("server_tamper"), np.eye(2))
+            apply_attack(AttackSpec("server_tamper"), np.eye(2), "class")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -55,6 +56,23 @@ class TestApplyAttack:
         samples = [(1, np.array([1.0, 0.0])), (2, np.array([0.0, 1.0]))]
         out = poison_samples(AttackSpec("label_flip", {"permutation": [1, 0]}), samples)
         assert [y for y, _ in out] == [2, 1]
+
+    @pytest.mark.parametrize("permutation", [[1, 2, 3, 0], [3, 2, 1, 0]])
+    def test_flip_fingerprint_matches_flipped_matrix(self, permutation):
+        # class c is reported as class perm[c] in the samples and the matrix alike
+        profile = dirichlet_population(1, 4, 1.0, [1, 7], samples=200)[0]
+        samples, matrix = gen_logits(profile, seed=[1, 8, 0])
+        spec = AttackSpec("label_flip", {"permutation": permutation})
+        flipped = compute_cal(poison_samples(spec, samples)).per_class_mean_logits
+        np.testing.assert_array_equal(flipped, apply_attack(spec, matrix, "class"))
+        np.testing.assert_array_equal(flipped[permutation], matrix)
+
+    def test_sample_grain_flip_moves_columns_of_a_square_pool(self):
+        # omega * k == d: the rows are still samples, so the class columns move
+        spec = AttackSpec("label_flip", {"permutation": [1, 2, 0]})
+        logits = np.arange(9.0).reshape(3, 3)
+        np.testing.assert_array_equal(apply_attack(spec, logits, "sample")[:, [1, 2, 0]], logits)
+        np.testing.assert_array_equal(apply_attack(spec, logits, "class")[[1, 2, 0]], logits)
 
 
 def tamper_round(kind, delta, leader=0, entry=(0, 0), **cfg_overrides):
@@ -150,18 +168,29 @@ class TestPoisonProvider:
         base = workload_provider(cfg, alpha=1.0, samples=100)
         victims = frozenset({1, 3})
         spec = AttackSpec("colluding_copy", victims=victims)
-        wrapped = poison_provider(base, {v: spec for v in victims}, seed=6)
+        wrapped = poison_provider(base, {v: spec for v in victims}, "class", seed=6)
         _, m1 = wrapped(1)
         _, m3 = wrapped(3)
         np.testing.assert_array_equal(m1, m3)
         _, honest = wrapped(0)
         assert not np.array_equal(honest, m1)
 
+    def test_sample_grain_flip_moves_pool_columns(self):
+        # a 6-row pool of 6 classes (omega * k == d) keeps its rows in place
+        cfg = RoundConfig(n=4, r=2, k=2, t=1, d=6, omega=3, grain="sample", seed=7)
+        base = workload_provider(cfg, alpha=1.0, samples=100)
+        perm = [1, 2, 3, 4, 5, 0]
+        wrapped = poison_provider(base, {2: AttackSpec("label_flip", {"permutation": perm})}, cfg.grain, seed=7)
+        _, honest = base(2)
+        _, flipped = wrapped(2)
+        assert honest.shape == (6, 6)
+        np.testing.assert_array_equal(flipped[:, perm], honest)
+
     def test_scale_attack_changes_matrix_and_samples(self):
         cfg = RoundConfig(n=4, r=2, k=1, t=1, d=5, grain="class", seed=7)
         base = workload_provider(cfg, alpha=1.0, samples=100)
         spec = AttackSpec("scale", {"factor": -2.0}, victims=frozenset({2}))
-        wrapped = poison_provider(base, {2: spec}, seed=7)
+        wrapped = poison_provider(base, {2: spec}, "class", seed=7)
         samples_honest, matrix_honest = base(2)
         samples_bad, matrix_bad = wrapped(2)
         np.testing.assert_allclose(matrix_bad, -2.0 * matrix_honest)
