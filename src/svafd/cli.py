@@ -23,9 +23,10 @@ import numpy as np
 
 from . import coding
 from .config import ExperimentConfig, load_config
-from .protocol import PerfRecorder, run_round, run_single_group, workload_provider
+from .protocol import PerfRecorder, run_round, run_single_group
 from .sigcrypto import get_backend
 from .threats import CLIENT_KINDS, TAMPER_KINDS, AttackSpec, inject_tamper, poison_provider, score_filtration
+from .workload import workload_provider
 
 SCHEMAS = {
     "table_error": "# schema: svafd.table_error.v1",

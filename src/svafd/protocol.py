@@ -16,8 +16,9 @@ bus, `run_single_group` and the tests a fresh one over an empty transcript.
 Every party acts only on what it takes: a member on its invite, its plan and
 the shares it holds (its share to itself stays local), the server on its
 roster, the aggregates and the signatures, and the leader on its key shares
-and the decoded result. A tamper enters at one point, as a mutation that
-`MessageBus.send` applies to one message before recording it.
+and the decoded result. Every in-flight attack, built by the threats module,
+enters as a mutation that `MessageBus.send` applies to one message before
+recording it; one that returns `DROP` stops the message, a late dropout.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
@@ -41,6 +42,7 @@ from .numerics import make_nodes, relative_error
 
 SERVER = -1
 BROADCAST = -2  # pseudo-receiver of a message every client reads
+DROP = object()  # what a bus mutation returns to stop its message: a late dropout
 
 # message kinds, each bound to one stage
 HASHED_CAL = "hashed_cal"
@@ -113,6 +115,8 @@ class RoundConfig:
             )
         if self.grain == "sample" and self.omega < 1:
             raise InfeasibleConfig(f"sample grain needs omega >= 1 rows per slice, got {self.omega}")
+        if self.grain not in ("class", "sample"):
+            raise InfeasibleConfig(f"unknown grain {self.grain!r}")
         if self.f_degree != 1:
             # signed digests reconcile with decoded sums only when the
             # aggregation is the weighted linear one; higher degrees are
@@ -268,12 +272,13 @@ class MessageBus:
     fingerprint broadcast is taken once, from `BROADCAST`, and only the
     member messages addressed to stragglers stay filed.
 
-    `mutations` is the one point where a tamper enters: it maps (kind,
-    sender, receiver, leader) to a function that returns the payload to
-    deliver in place of the one sent. `send` applies it to the first
-    message under that key, before recording, so the transcript shows what
-    was delivered. The transcript append is locked only by Python's GIL
-    semantics; a single-threaded scheduler drives this engine."""
+    `mutations` is the one point where an in-flight attack enters: it maps
+    (kind, sender, receiver, leader) to a function that returns the payload
+    to deliver in place of the one sent, or `DROP`. `send` applies it to the
+    first message under that key, before recording, so the transcript shows
+    what was delivered; a dropped message is neither recorded nor filed, and
+    `send` returns None. The transcript append is locked only by Python's
+    GIL semantics; a single-threaded scheduler drives this engine."""
 
     def __init__(self, transcript: RoundTranscript):
         self.transcript = transcript
@@ -281,12 +286,14 @@ class MessageBus:
         self.mutations: dict[tuple, Callable] = {}
         self._seq = 0
 
-    def send(self, kind: str, sender: int, receiver: int, payload) -> Message:
+    def send(self, kind: str, sender: int, receiver: int, payload) -> Message | None:
         leader = payload.get("leader") if isinstance(payload, dict) else None
         if self.mutations:
             mutate = self.mutations.pop((kind, sender, receiver, leader), None)
             if mutate is not None:
                 payload = mutate(payload)
+                if payload is DROP:
+                    return None
         msg = Message(
             seq=self._seq,
             stage=STAGE_OF_KIND[kind],
@@ -373,64 +380,6 @@ def _oracle_teacher(bundles: dict, weights: dict, f_coeffs, grain: str, k: int):
     if grain == "class":
         return np.sum(slices, axis=0)
     return np.concatenate(slices, axis=0)
-
-
-def _resolve_tamper(tamper, plan: coding.GroupPlan, live: tuple) -> dict:
-    """The bus mutation of a tamper aimed at this group, keyed as
-    `MessageBus.mutations` is; empty for any other group. Unspecified targets
-    default to the group's first live members: a share tamper hits live[0]'s
-    share to live[1], a weight tamper skews live[1]'s weight in live[0]'s
-    plan, and a server tamper moves an entry of the first decoded slice.
-
-    A tamper that would hit no message raises ValueError: a share tamper
-    whose sender is not live, whose receiver is not live (a straggler takes
-    no share) or whose sender is its receiver (that share never crosses the
-    bus), and a weight tamper on the plan of a member that is not live (it
-    takes no plan) or on the weight of a sender that is not live (no share
-    of it is aggregated under that weight), and a tamper of any other kind."""
-    leader = plan.leader
-    if tamper is None or tamper.leader != leader:
-        return {}
-    first = live[0] if live else None
-    second = live[1] if len(live) > 1 else first
-    entry, delta = tamper.entry, tamper.delta
-    if tamper.kind == "share_tamper":
-
-        def mutate(payload):
-            share = payload["share"]
-            moved = share.payload.copy()
-            moved[entry] += delta
-            return {**payload, "share": coding.EncodedShare(share.sender, share.receiver, moved)}
-
-        sender = first if tamper.sender is None else tamper.sender
-        receiver = second if tamper.member is None else tamper.member
-        if sender not in live or receiver not in live or sender == receiver:
-            raise ValueError(f"share tamper {sender} -> {receiver} hits no message (group {leader}, live {live})")
-        return {(SHARE, sender, receiver, leader): mutate}
-    if tamper.kind == "weight_tamper":
-        member = first if tamper.member is None else tamper.member
-        target = second if tamper.sender is None else tamper.sender
-        if member not in live or target not in live:
-            raise ValueError(
-                f"weight tamper on {target}'s weight in {member}'s plan hits no message (group {leader}, live {live})"
-            )
-        x = plan.members.index(target)
-
-        def mutate(payload):
-            weights = payload["blinded_weights"].copy()
-            weights[x] = weights[x] + delta * plan.blind_factor
-            return {**payload, "blinded_weights": weights}
-
-        return {(PLAN_DISTRIBUTION, leader, member, leader): mutate}
-    if tamper.kind == "server_tamper":
-
-        def mutate(payload):
-            decoded = [s.copy() for s in payload["decoded"]]
-            decoded[0][entry] += delta
-            return {**payload, "decoded": decoded}
-
-        return {(DECODED_RESULT, SERVER, leader, None): mutate}
-    raise ValueError(f"tamper kind {tamper.kind!r} hits no message (group {leader})")
 
 
 @dataclass
@@ -595,9 +544,10 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     """Execute one full round for every client's group.
 
     logits_provider(client_id) must return (sample list, knowledge matrix)
-    for every non-straggler client. tamper, when given, becomes one bus
-    mutation in exactly one group (see the threats module and
-    `_resolve_tamper`). Deterministic in cfg.seed.
+    for every non-straggler client. tamper, when given, attacks the group
+    of `tamper.leader`: `tamper.mutations(plan, live)` (see the threats
+    module) gives its bus mutations, `DROP` included, once that group has
+    prepared. Deterministic in cfg.seed.
     """
     cfg.validate()
     backend = sigcrypto.get_backend(cfg.backend)
@@ -630,7 +580,8 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
             lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])),
             backend, perf, stragglers=cfg.straggler_ids, keys=keys,
         )
-        bus.mutations.update(_resolve_tamper(tamper, group.plan, group.live))
+        if tamper is not None and tamper.leader == leader:
+            bus.mutations.update(tamper.mutations(group.plan, group.live))
         _exchange(group, bus)
         runs.append(group)
     for group in runs:
@@ -669,26 +620,3 @@ def run_single_group(
     _exchange(group, bus)
     return _conclude(group, bus)
 
-
-def workload_provider(cfg: RoundConfig, alpha: float = 1.0, samples: int = 300, **profile_kwargs):
-    """Deterministic per-client synthetic logits source for a round."""
-    from .workload import dirichlet_population, gen_logits
-
-    population = dirichlet_population(
-        cfg.n,
-        cfg.d,
-        alpha,
-        [cfg.seed, 7],
-        samples=samples,
-        grain=cfg.grain,
-        o=cfg.omega * cfg.k,
-        **profile_kwargs,
-    )
-    cache = {}
-
-    def provider(cid: int):
-        if cid not in cache:
-            cache[cid] = gen_logits(population[cid], seed=[cfg.seed, 8, cid])
-        return cache[cid]
-
-    return provider

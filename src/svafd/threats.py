@@ -2,12 +2,13 @@
 filtration-quality metrics.
 
 Client-side kinds fabricate or distort the logits a poisoner submits, its
-fingerprint samples and its knowledge matrix through one transform of rows;
-tamper kinds mutate one value in flight (an encoded share entry, an
+fingerprint samples and its knowledge matrix through one transform of rows.
+Tamper kinds mutate one value in flight (an encoded share entry, an
 aggregation weight in one member's plan, or a decoded teacher entry) to probe
-that verification catches the smallest representable lie; the protocol turns
-each into a mutation of one message on its bus. Filtration quality is scored
-as the fraction of benign member slots inside benign-led groups.
+that verification catches the smallest representable lie. Every in-flight
+attack is a set of one group's bus mutations (`RoundTamper.mutations`), each
+returning the payload to deliver or `protocol.DROP`, a late dropout.
+Filtration quality is the fraction of benign member slots in benign-led groups.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coding import EncodedShare
 from .filtration import Topology
+from .protocol import DECODED_RESULT, PLAN_DISTRIBUTION, SERVER, SHARE
 
-CLIENT_KINDS = frozenset(
-    {"random_logits", "label_flip", "scale", "additive_noise", "colluding_copy"}
-)
+CLIENT_KINDS = frozenset({"random_logits", "label_flip", "scale", "additive_noise", "colluding_copy"})
 TAMPER_KINDS = frozenset({"share_tamper", "weight_tamper", "server_tamper"})
 
 
@@ -121,6 +122,13 @@ def poison_provider(provider, specs_by_victim: dict, grain: str, seed=0):
     return wrapped
 
 
+def _shifted(values: np.ndarray, index, delta) -> np.ndarray:
+    """A copy of values with the entry at index moved by delta."""
+    moved = values.copy()
+    moved[index] += delta
+    return moved
+
+
 @dataclass(frozen=True)
 class RoundTamper:
     """One in-flight mutation, targeted at a single group."""
@@ -131,6 +139,50 @@ class RoundTamper:
     sender: int | None = None
     entry: tuple = (0, 0)
     delta: float = 0.0
+
+    def mutations(self, plan, live: tuple) -> dict:
+        """This tamper's bus mutation in its group, keyed as
+        `MessageBus.mutations` is. Unspecified targets are the first live
+        members: a share tamper hits live[0]'s share to live[1], a weight
+        tamper skews live[1]'s weight in live[0]'s plan, and a server tamper
+        moves an entry of the first decoded slice. A tamper that would hit no
+        message raises ValueError: a share not sent from one live member to
+        another (a straggler takes none, and a share to oneself stays local),
+        a plan or weight of a member that is not live, and any other kind."""
+        leader, entry, delta = plan.leader, self.entry, self.delta
+        where = f"(group {leader}, live {live})"
+        first = live[0] if live else None
+        second = live[1] if len(live) > 1 else first
+        if self.kind == "share_tamper":
+            sender = first if self.sender is None else self.sender
+            receiver = second if self.member is None else self.member
+            if sender not in live or receiver not in live or sender == receiver:
+                raise ValueError(f"share tamper {sender} -> {receiver} hits no message {where}")
+            key, name = (SHARE, sender, receiver, leader), "share"
+
+            def edit(share):
+                return EncodedShare(share.sender, share.receiver, _shifted(share.payload, entry, delta))
+
+        elif self.kind == "weight_tamper":
+            member = first if self.member is None else self.member
+            target = second if self.sender is None else self.sender
+            if member not in live or target not in live:
+                raise ValueError(f"weight tamper on {target}'s weight in {member}'s plan hits no message {where}")
+            key, name = (PLAN_DISTRIBUTION, leader, member, leader), "blinded_weights"
+            x, shift = plan.members.index(target), delta * plan.blind_factor
+
+            def edit(weights):
+                return _shifted(weights, x, shift)
+
+        elif self.kind == "server_tamper":
+            key, name = (DECODED_RESULT, SERVER, leader, None), "decoded"
+
+            def edit(decoded):
+                return [_shifted(decoded[0], entry, delta), *decoded[1:]]
+
+        else:
+            raise ValueError(f"tamper kind {self.kind!r} hits no message (group {leader})")
+        return {key: lambda payload: {**payload, name: edit(payload[name])}}
 
 
 def inject_tamper(spec: AttackSpec, leader: int, member=None, sender=None) -> RoundTamper:

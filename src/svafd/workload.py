@@ -4,7 +4,8 @@ Each client draws a Dirichlet label distribution; its logits rows peak at the
 sample's label with a strength that grows with how often the client sees that
 class, so knowledge fingerprints track the underlying data distribution.
 Class-grained clients expose a d x d matrix of per-class means, sample-grained
-clients an o x d matrix over a shared public pool.
+clients an o x d matrix over a shared public pool. `workload_provider` serves
+a round's population to `run_round`, one client at a time.
 """
 
 from __future__ import annotations
@@ -95,3 +96,19 @@ def dirichlet_population(
         ClientProfile(label_dist=rng.dirichlet(np.full(d, alpha)), **profile_kwargs)
         for _ in range(n)
     ]
+
+
+def workload_provider(cfg, alpha: float = 1.0, samples: int = 300, **profile_kwargs):
+    """Deterministic per-client synthetic logits source for the round of a
+    `RoundConfig` cfg."""
+    population = dirichlet_population(
+        cfg.n, cfg.d, alpha, [cfg.seed, 7], samples=samples, grain=cfg.grain, o=cfg.omega * cfg.k, **profile_kwargs
+    )
+    cache = {}
+
+    def provider(cid: int):
+        if cid not in cache:
+            cache[cid] = gen_logits(population[cid], seed=[cfg.seed, 8, cid])
+        return cache[cid]
+
+    return provider

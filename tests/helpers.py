@@ -92,17 +92,19 @@ def exchanged_group(rng, leader, cfg, low, high, backend=None, weights=None):
 
 
 def full_pipeline(seed, r, k, t, deg_f, grain="class", d=4, omega=8, sigma=100.0, theta=6.0, q=3, drop=()):
-    """One group end to end with the aggregates of the holders in drop lost
-    before decoding; returns (teacher, slice-wise plaintext oracle teacher)."""
+    """One group end to end with the aggregates of the holders at the plan
+    positions in drop lost in flight (`protocol.DROP`, a late dropout);
+    returns (teacher, slice-wise plaintext oracle teacher)."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, theta=theta, grain=grain, f_degree=deg_f, d=d,
                       omega=omega)
-    group, bus = exchanged_group(np.random.default_rng(seed), 999, cfg, -10, 10)
-    kept = [m for m in bus.take(SERVER, AGGREGATED_SHARE, 999) if m.payload["alpha_index"] not in drop]
-    for m in kept:
-        bus.send(AGGREGATED_SHARE, m.sender, SERVER, m.payload)
+    group = prepared_group(np.random.default_rng(seed), 999, cfg, -10, 10)
+    bus = protocol.MessageBus(protocol.RoundTranscript())
+    lost = [group.plan.members[x] for x in drop]
+    bus.mutations.update({(AGGREGATED_SHARE, m, SERVER, 999): lambda payload: protocol.DROP for m in lost})
+    protocol._exchange(group, bus)
     res = protocol._conclude(group, bus)
     if res.verdict == "insufficient":
-        raise InsufficientShares(f"{len(kept)} aggregates left")
+        raise InsufficientShares(f"{r - len(lost)} aggregates left")
     return res.teacher, res.oracle
 
 

@@ -21,9 +21,9 @@ from svafd.protocol import (
     SERVER,
     RoundConfig,
     run_round,
-    workload_provider,
 )
 from svafd.threats import AttackSpec, inject_tamper, score_filtration
+from svafd.workload import workload_provider
 
 
 def criterion(num, name):

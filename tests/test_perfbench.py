@@ -44,7 +44,7 @@ def test_traced_counters_read_the_engine_calls(entry):
             if entry.startswith("tampered_"):
                 spec = svafd.threats.AttackSpec("share_tamper", {"delta": 1e-3})
                 tamper = svafd.threats.inject_tamper(spec, leader=0)
-            transcript = protocol.run_round(cfg, protocol.workload_provider(cfg, samples=60), tamper=tamper)
+            transcript = protocol.run_round(cfg, svafd.workload.workload_provider(cfg, samples=60), tamper=tamper)
         else:
             result = protocol.run_single_group(4, 2, 1, grain="class", d=4, seed=1, backend=backend)
     finally:

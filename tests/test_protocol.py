@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
-from dataclasses import fields
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from svafd.protocol import (
     RoundConfig,
     run_round,
     run_single_group,
-    workload_provider,
 )
+from svafd.workload import workload_provider
 
 from helpers import (
     SERVER_VISIBLE_KINDS,
@@ -37,6 +39,18 @@ from helpers import (
     messages_of,
     prepared_group,
 )
+
+
+@dataclass(frozen=True)
+class Adversary:
+    """A test adversary for `run_round(tamper=)`: build(plan, live) gives the
+    bus mutations of the group led by leader."""
+
+    leader: int
+    build: Callable
+
+    def mutations(self, plan, live):
+        return self.build(plan, live)
 
 
 def small_cfg(**overrides):
@@ -192,6 +206,14 @@ class TestConfigValidation:
         cfg = small_cfg(n=4, r=4)
         with pytest.raises(InfeasibleConfig):
             run_round(cfg, workload_provider(cfg))
+
+    @pytest.mark.parametrize("grain", ["Class", "samples", ""])
+    def test_unknown_grain_rejected_before_filtration(self, grain):
+        cfg = RoundConfig(n=6, r=4, k=2, t=1, d=5, grain=grain)
+        with pytest.raises(InfeasibleConfig, match="unknown grain"):
+            cfg.validate()
+        with pytest.raises(InfeasibleConfig, match="unknown grain"):
+            run_round(cfg, lambda cid: pytest.fail("the round read an input before validating"))
 
     def test_sample_grain_needs_positive_omega(self):
         cfg = small_cfg(grain="sample", omega=0, k=2)
@@ -572,7 +594,8 @@ class TestGroupOverFreshBus:
             MockBackend(), PerfRecorder(),
         )
         bus = MessageBus(protocol.RoundTranscript())
-        bus.mutations.update(protocol._resolve_tamper(tamper, group.plan, group.live))
+        if tamper is not None:
+            bus.mutations.update(tamper.mutations(group.plan, group.live))
         protocol._exchange(group, bus)
         server = [
             (m.sender, m.payload["alpha_index"], m.payload["payload"].tobytes())
@@ -652,8 +675,9 @@ class TestInboxDrain:
 
 
 class TestBusMutation:
-    """A mutation set on the bus attacks any message kind in flight, with no
-    hook in the stages: the group it hits rejects, every other accepts."""
+    """A mutation an adversary hands `run_round` attacks any message kind in
+    flight, with no hook in the stages: the group it hits rejects, every
+    other accepts."""
 
     LEADER = 2
 
@@ -678,21 +702,18 @@ class TestBusMutation:
         return (PLAN_DISTRIBUTION, self.LEADER, member, self.LEADER), mutate
 
     @pytest.mark.parametrize("attack", ["shift_aggregate", "shift_key", "shift_lagrange"])
-    def test_mutated_message_rejects_only_its_group(self, attack, monkeypatch):
+    def test_mutated_message_rejects_only_its_group(self, attack):
         cfg = small_cfg()
-        provider = workload_provider(cfg, alpha=1.0, samples=150)
-        member = run_round(cfg, provider).topology.groups[self.LEADER][0]
-        key, mutate = getattr(self, attack)(member)
-        hit = []
+        built, hit = [], []
 
-        class AttackedBus(MessageBus):
-            def __init__(self, transcript):
-                super().__init__(transcript)
-                self.mutations[key] = lambda payload: hit.append(key) or mutate(payload)
+        def build(plan, live):
+            key, mutate = getattr(self, attack)(live[0])
+            built.append(key)
+            return {key: lambda payload: hit.append(key) or mutate(payload)}
 
-        monkeypatch.setattr(protocol, "MessageBus", AttackedBus)
-        transcript = run_round(cfg, provider)
-        assert hit == [key]
+        adversary = Adversary(self.LEADER, build)
+        transcript = run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=adversary)
+        assert len(built) == 1 and hit == built
         for leader, res in transcript.group_results.items():
             assert res.verdict == ("reject" if leader == self.LEADER else "accept"), leader
 
@@ -719,6 +740,55 @@ class TestBusMutation:
         assert transcript.topology.groups == want
         assert want != honest.topology.groups
         assert want[0] != honest.topology.groups[0]
+
+
+class TestLateDropout:
+    """A member whose aggregate is lost in flight (`DROP` on its
+    AGGREGATED_SHARE) has already taken its shares: a late dropout. Group 4
+    of the n=10, r=4 round (threshold k+t=3) decodes without one aggregate,
+    is insufficient without two, and no other group moves."""
+
+    LEADER = 4
+
+    @staticmethod
+    @functools.cache
+    def run(lost):
+        cfg = small_cfg(n=10, r=4, d=5)
+
+        def build(plan, live):
+            return {(AGGREGATED_SHARE, m, SERVER, plan.leader): lambda payload: protocol.DROP for m in live[:lost]}
+
+        adversary = Adversary(TestLateDropout.LEADER, build)
+        return run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=adversary)
+
+    def test_dropped_message_is_neither_recorded_nor_filed(self):
+        bus = MessageBus(protocol.RoundTranscript())
+        bus.mutations[(SHARE, 0, 1, 7)] = lambda payload: protocol.DROP
+        assert bus.send(SHARE, 0, 1, {"leader": 7}) is None
+        assert bus.transcript.messages == [] and bus.inboxes == {} and bus.mutations == {}
+        assert bus.send(SHARE, 0, 1, {"leader": 7}).seq == 0
+
+    def test_one_lost_aggregate_still_decodes(self):
+        honest, transcript = self.run(0), self.run(1)
+        res = transcript.group_results[self.LEADER]
+        assert res.verdict == "accept" and res.rel_error <= 1e-6
+        assert len(transcript.messages) == len(honest.messages) - 1
+        sent = [m.sender for m in messages_of(transcript, kind=AGGREGATED_SHARE) if m.payload["leader"] == self.LEADER]
+        assert sent == sorted(res.live_members[1:])  # members aggregate in id order
+
+    def test_two_lost_aggregates_are_insufficient(self):
+        transcript = self.run(2)
+        assert transcript.group_results[self.LEADER].verdict == "insufficient"
+        assert messages_of(transcript, kind=DECODED_RESULT, receiver=self.LEADER) == []
+
+    @pytest.mark.parametrize("lost", [1, 2])
+    def test_other_groups_unchanged(self, lost):
+        honest, transcript = self.run(0), self.run(lost)
+        for leader, res in honest.group_results.items():
+            if leader != self.LEADER:
+                got = transcript.group_results[leader]
+                assert (got.verdict, got.rel_error) == (res.verdict, res.rel_error), leader
+                assert got.teacher.tobytes() == res.teacher.tobytes(), leader
 
 
 class TestTamperHitsAMessage:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svafd.filtration import build_topology, compute_cal, intimacy
-from svafd.protocol import RoundConfig, run_round, workload_provider
+from svafd.protocol import RoundConfig, run_round
 from svafd.threats import (
     AttackSpec,
     KindMismatch,
@@ -12,7 +12,7 @@ from svafd.threats import (
     poison_samples,
     score_filtration,
 )
-from svafd.workload import dirichlet_population, gen_logits
+from svafd.workload import dirichlet_population, gen_logits, workload_provider
 
 
 class TestApplyAttack:
