@@ -17,6 +17,7 @@ import argparse
 import itertools
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,9 @@ def _write_csv(path: Path, schema: str, header: list[str], rows: list[list]) -> 
     return path
 
 
-def _provider_for(cfg: ExperimentConfig, round_cfg):
+def _provider_for(cfg: ExperimentConfig):
     return workload_provider(
-        round_cfg,
+        cfg,
         alpha=cfg.alpha,
         samples=cfg.samples,
         confusion_sharpness=cfg.sharpness,
@@ -150,23 +151,22 @@ def _suite_row(name: str, transcript, poisoners) -> list:
 
 
 def cmd_attack_suite(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    round_cfg = cfg.round_config()
-    base = _provider_for(cfg, round_cfg)
-    rows = [_suite_row("none", run_round(round_cfg, base), set())]
+    base = _provider_for(cfg)
+    rows = [_suite_row("none", run_round(cfg, base), set())]
     n_victims = int(round(cfg.poison_fraction * cfg.n))
     victim_rng = np.random.default_rng([cfg.seed, 13])
     victims = sorted(map(int, victim_rng.permutation(cfg.n)[:n_victims]))
     for kind in cfg.attacks:
         if kind in CLIENT_KINDS:
             spec = _attack_spec(kind, cfg, victims)
-            provider = poison_provider(base, {v: spec for v in victims}, round_cfg.grain, seed=cfg.seed)
-            transcript = run_round(round_cfg, provider)
+            provider = poison_provider(base, {v: spec for v in victims}, cfg.grain, seed=cfg.seed)
+            transcript = run_round(cfg, provider)
             rows.append(_suite_row(kind, transcript, set(victims)))
         elif kind in TAMPER_KINDS:
             tamper = inject_tamper(
                 AttackSpec(kind, {"delta": cfg.tamper_delta}), leader=0
             )
-            transcript = run_round(round_cfg, base, tamper=tamper)
+            transcript = run_round(cfg, base, tamper=tamper)
             rows.append(_suite_row(kind, transcript, set()))
         else:
             raise ValueError(f"unknown attack kind {kind!r}")
@@ -184,8 +184,7 @@ def cmd_attack_suite(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def cmd_single_round(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    round_cfg = cfg.round_config()
-    transcript = run_round(round_cfg, _provider_for(cfg, round_cfg))
+    transcript = run_round(cfg, _provider_for(cfg))
     path = out_dir / "transcript.jsonl"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(transcript.export_jsonl(), encoding="utf-8")
@@ -213,12 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.backend is not None:
-        cfg.backend = args.backend
-    if args.reps is not None:
-        cfg.reps = args.reps
+    overrides = {name: getattr(args, name) for name in ("seed", "backend", "reps")}
+    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
     out_dir = args.out if args.out is not None else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     command = {

@@ -3,6 +3,8 @@
 Lines are ``key = value`` pairs; ``#`` starts a comment; blank lines are
 ignored. Values are typed by the field they set: integers, reals, booleans
 (true/false), strings, or comma-separated lists. Unknown keys are rejected.
+An `ExperimentConfig` is a `RoundConfig` plus the experiment keys, so a
+loaded config goes to `run_round` as it is.
 
 Keys and defaults:
 
@@ -21,9 +23,9 @@ Keys and defaults:
     seed = 0            master seed
     d = 10              classes
     omega = 32          sample-grain rows per slice (public pool = omega * k)
+    straggler_ids =     comma-separated client ids that drop mid-round
     backend = mock      mock | pairing
     leader_in_group = false
-    stragglers =        comma-separated client ids that drop mid-round
 
   workload
     alpha = 1.0         Dirichlet heterogeneity
@@ -56,25 +58,8 @@ from pathlib import Path
 from .protocol import RoundConfig
 
 
-@dataclass
-class ExperimentConfig:
-    n: int = 20
-    r: int = 5
-    k: int = 2
-    t: int = 1
-    q: int = 3
-    p: int = 16
-    sigma: float = 1e3
-    theta: float = 6.0
-    radius: float = 1.0
-    grain: str = "class"
-    f_degree: int = 1
-    seed: int = 0
-    d: int = 10
-    omega: int = 32
-    backend: str = "mock"
-    leader_in_group: bool = False
-    stragglers: tuple = ()
+@dataclass(frozen=True)
+class ExperimentConfig(RoundConfig):
     alpha: float = 1.0
     samples: int = 300
     sharpness: float = 8.0
@@ -89,12 +74,6 @@ class ExperimentConfig:
     attack_sigma: float = 5.0
     tamper_delta: float = 1e-3
     out_dir: str = "out"
-
-    def round_config(self) -> RoundConfig:
-        """Every `RoundConfig` field from the key of the same name, and
-        `straggler_ids` from `stragglers`."""
-        shared = {f.name: getattr(self, f.name) for f in fields(RoundConfig) if f.name in _FIELDS}
-        return RoundConfig(**shared, straggler_ids=frozenset(self.stragglers))
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -115,11 +94,11 @@ def _parse_value(key: str, raw: str):
         return int(raw)
     if isinstance(default, float):
         return float(raw)
-    if isinstance(default, tuple):
+    if isinstance(default, (tuple, frozenset)):
         items = [item.strip() for item in raw.split(",") if item.strip()]
         if key in _STR_TUPLES:
             return tuple(items)
-        return tuple(int(item) for item in items)
+        return type(default)(int(item) for item in items)
     return raw
 
 

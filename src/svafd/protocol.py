@@ -71,10 +71,10 @@ class InfeasibleConfig(ValueError):
 
 @dataclass(frozen=True)
 class RoundConfig:
-    n: int
-    r: int
-    k: int
-    t: int
+    n: int = 20
+    r: int = 5
+    k: int = 2
+    t: int = 1
     q: int = 3
     p: int = 16
     sigma: float = 1e3
@@ -105,9 +105,9 @@ class RoundConfig:
             return (self.d, self.d)
         return (self.omega * self.k, self.d)
 
-    def validate(self):
-        if self.r > self.n - 1:
-            raise InfeasibleConfig(f"r={self.r} needs at least {self.r + 1} clients")
+    def validate_group(self):
+        """What one group needs: achievability at `group_size()`, a known
+        grain, and at least one row per slice for sample grain."""
         ach = coding.check_achievable(self.group_size(), self.k, self.t, self.f_degree)
         if not ach.feasible:
             raise InfeasibleConfig(
@@ -117,6 +117,13 @@ class RoundConfig:
             raise InfeasibleConfig(f"sample grain needs omega >= 1 rows per slice, got {self.omega}")
         if self.grain not in ("class", "sample"):
             raise InfeasibleConfig(f"unknown grain {self.grain!r}")
+
+    def validate(self):
+        """What a verified round needs: r <= n - 1, every group check, and
+        degree-1 aggregation."""
+        if self.r > self.n - 1:
+            raise InfeasibleConfig(f"r={self.r} needs at least {self.r + 1} clients")
+        self.validate_group()
         if self.f_degree != 1:
             # signed digests reconcile with decoded sums only when the
             # aggregation is the weighted linear one; higher degrees are
@@ -399,9 +406,9 @@ class _Group:
     logits_sigs: dict = field(default_factory=dict)
 
 
-def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), keys=None, weights=None) -> _Group:
+def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weights=None) -> _Group:
     """Stage 1, member preparation: the leader's plan and weight signatures,
-    then each live member quantizes, splits, blinds and signs its logits.
+    then each live member (not in `cfg.straggler_ids`) quantizes, splits, blinds and signs its logits.
     Once all have, the plaintext oracle is fixed from their bundles, which
     `_exchange` then drops one by one as each member encodes.
 
@@ -413,7 +420,7 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, stragglers=(), 
         plan = coding.make_group_plan(
             leader, roster, cfg.k, cfg.t, cfg.tensor_shape(), rng, radius=cfg.radius, q=cfg.q, weights=weights
         )
-    live = tuple(m for m in plan.members if m not in stragglers)
+    live = tuple(m for m in plan.members if m not in cfg.straggler_ids)
     weight_ints = {m: sigcrypto.quantize_weight(w, cfg.q) for m, w in zip(plan.members, plan.weights)}
     weight_sigs = None
     if backend is not None:
@@ -578,7 +585,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
         group = _prepare(
             cfg, leader, roster, np.random.default_rng([cfg.seed, 2, leader]),
             lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])),
-            backend, perf, stragglers=cfg.straggler_ids, keys=keys,
+            backend, perf, keys=keys,
         )
         if tamper is not None and tamper.leader == leader:
             bus.mutations.update(tamper.mutations(group.plan, group.live))
@@ -604,8 +611,10 @@ def run_single_group(
     relative-error measurement path for the error table's cells, and the
     stage-timing path when a backend is given (signatures, proof and
     verification included). params are `RoundConfig` group fields (grain,
-    d, omega, q, sigma, theta, radius, f_degree), at its defaults when left out."""
+    d, omega, q, sigma, theta, radius, f_degree), at its defaults when left
+    out; the group is checked by `validate_group` before any plan is built."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, **params)
+    cfg.validate_group()
     if backend is not None and cfg.f_degree != 1:
         raise ValueError("proof verification covers degree-1 aggregation only")
     rng = np.random.default_rng([seed, r, k, t] if isinstance(seed, int) else seed)

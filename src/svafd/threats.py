@@ -185,8 +185,9 @@ class RoundTamper:
         return {key: lambda payload: {**payload, name: edit(payload[name])}}
 
 
-def inject_tamper(spec: AttackSpec, leader: int, member=None, sender=None) -> RoundTamper:
-    """Instantiate the round tamper for a tamper-kind spec.
+def inject_tamper(spec: AttackSpec, leader: int) -> RoundTamper:
+    """Instantiate the round tamper for a tamper-kind spec; its params may
+    name the "member", "sender", "entry" and "delta" of `RoundTamper`.
 
     A share tamper must name two different members when it names both: a
     member's share to itself never crosses the bus, so nothing could alter it.
@@ -196,8 +197,8 @@ def inject_tamper(spec: AttackSpec, leader: int, member=None, sender=None) -> Ro
     tamper = RoundTamper(
         kind=spec.kind,
         leader=leader,
-        member=member if member is not None else spec.params.get("member"),
-        sender=sender if sender is not None else spec.params.get("sender"),
+        member=spec.params.get("member"),
+        sender=spec.params.get("sender"),
         entry=tuple(spec.params.get("entry", (0, 0))),
         delta=float(spec.params.get("delta", 0.0)),
     )

@@ -71,13 +71,14 @@ def ec_neg(p):
     return (p[0], (-p[1]) % Q_FIELD)
 
 
-def prepared_group(rng, leader, cfg, low, high, backend=None, weights=None, stragglers=()):
-    """Preparation for members 0..r-1, each drawing uniform [low, high)
-    logits from rng; the group state still holds every live bundle."""
+def prepared_group(rng, leader, cfg, low, high, backend=None, weights=None):
+    """Preparation for members 0..r-1 (live unless in cfg.straggler_ids),
+    each drawing uniform [low, high) logits from rng; the group state still
+    holds every live bundle."""
     shape = cfg.logits_shape()
     return protocol._prepare(
         cfg, leader, range(cfg.r), rng, lambda z: (rng.uniform(low, high, shape), rng), backend,
-        protocol.PerfRecorder(), stragglers=stragglers, weights=weights,
+        protocol.PerfRecorder(), weights=weights,
     )
 
 

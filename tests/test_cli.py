@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,7 +28,7 @@ class TestConfigParsing:
         grain = sample
         omega = 8
         leader_in_group = true
-        stragglers = 1, 3
+        straggler_ids = 1, 3
         sweep_n = 10, 12
         attacks = scale, server_tamper
         """
@@ -37,7 +37,7 @@ class TestConfigParsing:
         assert cfg.sigma == 500.0
         assert cfg.grain == "sample" and cfg.omega == 8
         assert cfg.leader_in_group is True
-        assert cfg.stragglers == (1, 3)
+        assert cfg.straggler_ids == frozenset({1, 3})
         assert cfg.sweep_n == (10, 12)
         assert cfg.attacks == ("scale", "server_tamper")
 
@@ -54,23 +54,11 @@ class TestConfigParsing:
         path.write_text("seed = 99\n")
         assert load_config(path).seed == 99
 
-    def test_round_config_carries_fields(self):
-        # every shared field set away from its RoundConfig default, each to
-        # its own value, so a dropped or crossed field shows
-        keys = {f.name for f in fields(ExperimentConfig)}
-        shared = [f.name for f in fields(RoundConfig) if f.name in keys]
-        assert shared == [f.name for f in fields(RoundConfig) if f.name != "straggler_ids"]
-        values = dict(
-            n=9, r=3, k=4, t=2, q=5, p=8, sigma=123.0, theta=4.5, radius=1.15, grain="sample", f_degree=2,
-            seed=77, d=6, omega=3, backend="pairing", leader_in_group=True,
-        )
-        assert sorted(values) == sorted(shared)
-        cfg = ExperimentConfig(stragglers=(2, 5), **values)
-        rc, default = cfg.round_config(), RoundConfig(n=1, r=1, k=1, t=1)
-        for name in shared:
-            assert getattr(rc, name) != getattr(default, name), name
-            assert getattr(rc, name) == getattr(cfg, name), name
-        assert rc.straggler_ids == frozenset({2, 5})
+    def test_is_a_frozen_round_config(self):
+        assert issubclass(ExperimentConfig, RoundConfig)
+        assert not set(ExperimentConfig.__annotations__) & {f.name for f in fields(RoundConfig)}
+        with pytest.raises(FrozenInstanceError):
+            ExperimentConfig().seed = 1
 
     def test_docstring_lists_every_key(self):
         keys = re.findall(r"^    (\w+) =", config.__doc__, flags=re.MULTILINE)
@@ -178,12 +166,11 @@ class TestShippedConfigs:
         assert isinstance(load_config(path), ExperimentConfig)
 
     @pytest.mark.parametrize("name", ["demo_round.cfg", "attack_suite.cfg"])
-    def test_round_config_validates(self, name):
-        load_config(CONFIGS / name).round_config().validate()
+    def test_validates(self, name):
+        load_config(CONFIGS / name).validate()
 
     def test_table_error_cell(self):
-        cfg = load_config(CONFIGS / "table_error.cfg")
-        cfg.sweep_n, cfg.sweep_k, cfg.sweep_t, cfg.reps = (50,), (10,), (10,), 1
+        cfg = replace(load_config(CONFIGS / "table_error.cfg"), sweep_n=(50,), sweep_k=(10,), sweep_t=(10,), reps=1)
         assert error_table(cfg)[(50, 10, 10)] <= -6
 
 
@@ -292,6 +279,18 @@ class TestMain:
         )
         assert rc == 0
         assert (tmp_path / "out" / "transcript.jsonl").exists()
+
+    def test_seed_flag_overrides_the_config(self, tmp_path):
+        def transcript(seed, *flags):
+            cfg_path = tmp_path / f"seed{seed}{len(flags)}.cfg"
+            cfg_path.write_text(f"n = 6\nr = 4\nk = 2\nt = 1\nd = 5\nsamples = 120\nseed = {seed}\n")
+            out = tmp_path / cfg_path.stem
+            main(["single-round", "--config", str(cfg_path), "--out", str(out), *flags])
+            return (out / "transcript.jsonl").read_bytes()
+
+        overridden = transcript(3, "--seed", "4")
+        assert overridden == transcript(4)
+        assert overridden != transcript(3)
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

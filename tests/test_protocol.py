@@ -215,6 +215,17 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig, match="unknown grain"):
             run_round(cfg, lambda cid: pytest.fail("the round read an input before validating"))
 
+    @pytest.mark.parametrize(
+        "k, params, match",
+        [(2, {"grain": "Class"}, "unknown grain"), (2, {"grain": "sample", "omega": 0}, "omega >= 1"),
+         (4, {}, "below threshold")],
+    )
+    def test_single_group_validated_before_planning(self, monkeypatch, k, params, match):
+        unplanned = lambda *args, **kwargs: pytest.fail("planned before validating")
+        monkeypatch.setattr(protocol.coding, "make_group_plan", unplanned)
+        with pytest.raises(InfeasibleConfig, match=match):
+            run_single_group(4, k, 1, d=4, **params)
+
     def test_sample_grain_needs_positive_omega(self):
         cfg = small_cfg(grain="sample", omega=0, k=2)
         with pytest.raises(InfeasibleConfig):
@@ -549,9 +560,9 @@ class TestBundlesDroppedAfterEncode:
 
     @pytest.mark.parametrize("grain", ["class", "sample"])
     def test_exchange_drops_every_bundle_and_keeps_the_oracle(self, grain):
-        cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain=grain, omega=4)
+        cfg = RoundConfig(n=7, r=6, k=2, t=1, q=3, d=5, grain=grain, omega=4, straggler_ids=frozenset({3}))
         rng = np.random.default_rng(5)
-        group = prepared_group(rng, 6, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r), stragglers={3})
+        group = prepared_group(rng, 6, cfg, -10, 10, weights=rng.uniform(0.05, 0.3, cfg.r))
         prepared = dict(group.bundles)
         assert list(prepared) == [0, 1, 2, 4, 5] and group.live == (0, 1, 2, 4, 5)
         weights = dict(zip(group.plan.members, group.plan.weights))

@@ -114,9 +114,7 @@ class TestTamperInjection:
         # a member's share to itself stays local, so no tamper can reach it
         with pytest.raises(ValueError, match="never crosses the bus"):
             inject_tamper(AttackSpec("share_tamper", {"sender": 3, "member": 3}), leader=0)
-        with pytest.raises(ValueError):
-            inject_tamper(AttackSpec("share_tamper"), leader=0, member=2, sender=2)
-        assert inject_tamper(AttackSpec("weight_tamper"), leader=0, member=2, sender=2).member == 2
+        assert inject_tamper(AttackSpec("weight_tamper", {"sender": 2, "member": 2}), leader=0).member == 2
 
 
 class TestScoreFiltration:
