@@ -94,9 +94,15 @@ def cmd_table_error(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def cmd_timing(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """Stage timings of a cfg.n-member group for each k of the sweep; a k
+    the achievability gate rejects at cfg.n and cfg.t has no rows."""
     backend = get_backend(cfg.backend)
     rows = []
     for k in cfg.sweep_k:
+        ach = coding.check_achievable(cfg.n, k, cfg.t, cfg.f_degree)
+        if not ach.feasible:
+            print(f"timing: k={k} skipped, group size {cfg.n} below threshold {ach.threshold}", file=sys.stderr)
+            continue
         perf = PerfRecorder()
         for rep in range(cfg.reps):
             run_single_group(

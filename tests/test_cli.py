@@ -206,6 +206,15 @@ class TestTiming:
                 counts[int(k)] = int(count)
         assert counts[2] == 2 * counts[1]
 
+    def test_infeasible_k_is_skipped(self, tmp_path, capsys):
+        # k=4 needs a 5-member group at t=1; the sweep goes on past it
+        cfg_path = tmp_path / "timing.cfg"
+        cfg_path.write_text("n = 4\nt = 1\nd = 4\ngrain = class\nsweep_k = 1, 4, 2\nreps = 1\n")
+        assert main(["timing", "--config", str(cfg_path), "--backend", "mock", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "timing.csv").read_text().splitlines()[2:]
+        assert [int(k) for k in dict.fromkeys(row.split(",")[0] for row in rows)] == [1, 2]
+        assert "k=4 skipped, group size 4 below threshold 5" in capsys.readouterr().err
+
 
 class TestAttackSuite:
     def test_control_and_tamper_rows(self, tmp_path):
