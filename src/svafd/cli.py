@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coding
 from .config import ExperimentConfig, load_config
-from .protocol import PerfRecorder, run_round, run_single_group
+from .protocol import GROUP_FIELDS, PerfRecorder, run_round, run_single_group
 from .sigcrypto import get_backend
 from .threats import CLIENT_KINDS, TAMPER_KINDS, AttackSpec, inject_tamper, poison_provider, score_filtration
 from .workload import workload_provider
@@ -46,20 +46,13 @@ def _write_csv(path: Path, schema: str, header: list[str], rows: list[list]) -> 
 
 
 def _provider_for(cfg: ExperimentConfig):
-    return workload_provider(
-        cfg,
-        alpha=cfg.alpha,
-        samples=cfg.samples,
-        confusion_sharpness=cfg.sharpness,
-        noise_scale=cfg.noise_scale,
-    )
+    return workload_provider(cfg, alpha=cfg.alpha, samples=cfg.samples)
 
 
 def _group_params(cfg: ExperimentConfig) -> dict:
     """The `run_single_group` keywords an experiment fixes for every group:
-    the config keys of the same names."""
-    names = ("grain", "d", "omega", "q", "sigma", "theta", "radius", "f_degree")
-    return {name: getattr(cfg, name) for name in names}
+    the config's `GROUP_FIELDS`."""
+    return {name: getattr(cfg, name) for name in GROUP_FIELDS}
 
 
 def error_table(cfg: ExperimentConfig) -> dict:
@@ -124,17 +117,6 @@ def cmd_timing(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return _write_csv(out_dir / "timing.csv", SCHEMAS["timing"], header, rows)
 
 
-def _attack_spec(kind: str, cfg: ExperimentConfig, victims) -> AttackSpec:
-    params = {}
-    if kind == "scale":
-        params["factor"] = cfg.attack_scale
-    elif kind == "additive_noise":
-        params["sigma"] = cfg.attack_sigma
-    elif kind == "label_flip":
-        params["permutation"] = list(reversed(range(cfg.d)))
-    return AttackSpec(kind, params, victims=frozenset(victims))
-
-
 def _suite_row(name: str, transcript, poisoners) -> list:
     metrics = score_filtration(transcript.topology, poisoners)
     verdicts = [res.verdict for res in transcript.group_results.values()]
@@ -157,6 +139,10 @@ def _suite_row(name: str, transcript, poisoners) -> list:
 
 
 def cmd_attack_suite(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """The control round, then one round per attack kind: a client kind
+    poisons a poison_fraction of the clients at its `threats` default
+    strength; a tamper kind moves one value in leader 0's group by one
+    grid unit, 10^-q."""
     base = _provider_for(cfg)
     rows = [_suite_row("none", run_round(cfg, base), set())]
     n_victims = int(round(cfg.poison_fraction * cfg.n))
@@ -164,14 +150,12 @@ def cmd_attack_suite(cfg: ExperimentConfig, out_dir: Path) -> Path:
     victims = sorted(map(int, victim_rng.permutation(cfg.n)[:n_victims]))
     for kind in cfg.attacks:
         if kind in CLIENT_KINDS:
-            spec = _attack_spec(kind, cfg, victims)
+            spec = AttackSpec(kind, victims=frozenset(victims))
             provider = poison_provider(base, {v: spec for v in victims}, cfg.grain, seed=cfg.seed)
             transcript = run_round(cfg, provider)
             rows.append(_suite_row(kind, transcript, set(victims)))
         elif kind in TAMPER_KINDS:
-            tamper = inject_tamper(
-                AttackSpec(kind, {"delta": cfg.tamper_delta}), leader=0
-            )
+            tamper = inject_tamper(AttackSpec(kind, {"delta": 10.0**-cfg.q}), leader=0)
             transcript = run_round(cfg, base, tamper=tamper)
             rows.append(_suite_row(kind, transcript, set()))
         else:

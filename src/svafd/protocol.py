@@ -69,6 +69,11 @@ class InfeasibleConfig(ValueError):
     """Round parameters cannot clear the interpolation threshold."""
 
 
+# the `RoundConfig` fields one group reads beyond r, k and t: what
+# `run_single_group` takes as params
+GROUP_FIELDS = ("grain", "d", "omega", "q", "sigma", "theta", "radius", "f_degree")
+
+
 @dataclass(frozen=True)
 class RoundConfig:
     n: int = 20
@@ -76,7 +81,6 @@ class RoundConfig:
     k: int = 2
     t: int = 1
     q: int = 3
-    p: int = 16
     sigma: float = 1e3
     theta: float = 6.0
     radius: float = 1.0
@@ -87,10 +91,6 @@ class RoundConfig:
     omega: int = 32  # sample-grain rows per slice; the public pool is omega * k
     straggler_ids: frozenset = frozenset()
     backend: str = "mock"
-    leader_in_group: bool = False
-
-    def group_size(self) -> int:
-        return self.r + (1 if self.leader_in_group else 0)
 
     def tensor_shape(self) -> tuple[int, int]:
         """Shape of one slice, and of the blind factor."""
@@ -106,13 +106,11 @@ class RoundConfig:
         return (self.omega * self.k, self.d)
 
     def validate_group(self):
-        """What one group needs: achievability at `group_size()`, a known
+        """What one group needs: achievability at its r members, a known
         grain, and at least one row per slice for sample grain."""
-        ach = coding.check_achievable(self.group_size(), self.k, self.t, self.f_degree)
+        ach = coding.check_achievable(self.r, self.k, self.t, self.f_degree)
         if not ach.feasible:
-            raise InfeasibleConfig(
-                f"group size {self.group_size()} below threshold {ach.threshold}"
-            )
+            raise InfeasibleConfig(f"group size {self.r} below threshold {ach.threshold}")
         if self.grain == "sample" and self.omega < 1:
             raise InfeasibleConfig(f"sample grain needs omega >= 1 rows per slice, got {self.omega}")
         if self.grain not in ("class", "sample"):
@@ -564,7 +562,7 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
 
     # --- filtration ---------------------------------------------------
     proj_seed = int(np.random.default_rng([cfg.seed, 101]).integers(2**63))
-    lsh_cfg = filtration.LshConfig(projection_seed=proj_seed, p=cfg.p)
+    lsh_cfg = filtration.LshConfig(projection_seed=proj_seed)
     matrices = {}
     for cid in clients:
         samples, matrix = logits_provider(cid)
@@ -581,9 +579,8 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     keys = {cid: sigcrypto.gen_key(backend, np.random.default_rng([cfg.seed, 4, cid])) for cid in clients}
     perf, runs = PerfRecorder(), []
     for leader in clients:
-        roster = list(groups[leader]) + ([leader] if cfg.leader_in_group else [])
         group = _prepare(
-            cfg, leader, roster, np.random.default_rng([cfg.seed, 2, leader]),
+            cfg, leader, groups[leader], np.random.default_rng([cfg.seed, 2, leader]),
             lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])),
             backend, perf, keys=keys,
         )
@@ -610,9 +607,13 @@ def run_single_group(
     """One group's pipeline outside a round, over a fresh bus: the
     relative-error measurement path for the error table's cells, and the
     stage-timing path when a backend is given (signatures, proof and
-    verification included). params are `RoundConfig` group fields (grain,
-    d, omega, q, sigma, theta, radius, f_degree), at its defaults when left
-    out; the group is checked by `validate_group` before any plan is built."""
+    verification included). params are the `RoundConfig` fields named in
+    `GROUP_FIELDS`, at their defaults when left out; any other key is a
+    TypeError. The group is checked by `validate_group` before any plan is
+    built."""
+    unknown = params.keys() - GROUP_FIELDS
+    if unknown:
+        raise TypeError(f"run_single_group() takes no group field {', '.join(sorted(unknown))}")
     cfg = RoundConfig(n=r, r=r, k=k, t=t, **params)
     cfg.validate_group()
     if backend is not None and cfg.f_degree != 1:

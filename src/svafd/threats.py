@@ -41,7 +41,9 @@ class AttackSpec:
 
 
 def _flip_permutation(spec: AttackSpec, d: int) -> np.ndarray:
-    perm = np.asarray(spec.params.get("permutation", np.arange(d)), dtype=int)
+    """The label_flip permutation: its "permutation" param, by default the
+    reversed class order."""
+    perm = np.asarray(spec.params.get("permutation", np.arange(d)[::-1]), dtype=int)
     if sorted(perm.tolist()) != list(range(d)):
         raise ValueError("flip permutation must permute all classes")
     return perm
@@ -49,6 +51,9 @@ def _flip_permutation(spec: AttackSpec, d: int) -> np.ndarray:
 
 def _poison(spec: AttackSpec, rows: np.ndarray, rng, class_axis: int | None) -> np.ndarray:
     """A client kind's transform of a (count, d) array of logits rows.
+
+    The default strengths are the attack suite's: scale multiplies by
+    "factor" -2.0 and additive_noise adds Gaussian noise of "sigma" 5.0.
 
     label_flip reports class c as class perm[c] (0-based): the entries for
     class c along class_axis move to index perm[c]. With class_axis None the
@@ -62,9 +67,9 @@ def _poison(spec: AttackSpec, rows: np.ndarray, rng, class_axis: int | None) -> 
         lo, hi = float(rows.min()), float(rows.max())
         return rng.uniform(lo, hi if hi > lo else lo + 1.0, rows.shape)
     if spec.kind == "scale":
-        return rows * float(spec.params.get("factor", 1.0))
+        return rows * float(spec.params.get("factor", -2.0))
     if spec.kind == "additive_noise":
-        return rows + rng.normal(0.0, float(spec.params.get("sigma", 1.0)), rows.shape)
+        return rows + rng.normal(0.0, float(spec.params.get("sigma", 5.0)), rows.shape)
     if spec.kind == "label_flip" and class_axis is not None:
         return np.take(rows, np.argsort(_flip_permutation(spec, rows.shape[1])), axis=class_axis)
     return rows

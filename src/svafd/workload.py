@@ -98,11 +98,11 @@ def dirichlet_population(
     ]
 
 
-def workload_provider(cfg, alpha: float = 1.0, samples: int = 300, **profile_kwargs):
+def workload_provider(cfg, alpha: float = 1.0, samples: int = 300):
     """Deterministic per-client synthetic logits source for the round of a
     `RoundConfig` cfg."""
     population = dirichlet_population(
-        cfg.n, cfg.d, alpha, [cfg.seed, 7], samples=samples, grain=cfg.grain, o=cfg.omega * cfg.k, **profile_kwargs
+        cfg.n, cfg.d, alpha, [cfg.seed, 7], samples=samples, grain=cfg.grain, o=cfg.omega * cfg.k
     )
     cache = {}
 

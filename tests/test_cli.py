@@ -13,7 +13,7 @@ import pytest
 from svafd import cli, config
 from svafd.cli import cmd_attack_suite, cmd_single_round, cmd_table_error, cmd_timing, error_table, main
 from svafd.config import ExperimentConfig, load_config, parse_config
-from svafd.protocol import PerfRecorder, RoundConfig
+from svafd.protocol import GROUP_FIELDS, PerfRecorder, RoundConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -27,7 +27,6 @@ class TestConfigParsing:
         sigma = 500.0          # overrides default
         grain = sample
         omega = 8
-        leader_in_group = true
         straggler_ids = 1, 3
         sweep_n = 10, 12
         attacks = scale, server_tamper
@@ -36,14 +35,19 @@ class TestConfigParsing:
         assert cfg.n == 12 and cfg.r == 4
         assert cfg.sigma == 500.0
         assert cfg.grain == "sample" and cfg.omega == 8
-        assert cfg.leader_in_group is True
         assert cfg.straggler_ids == frozenset({1, 3})
         assert cfg.sweep_n == (10, 12)
         assert cfg.attacks == ("scale", "server_tamper")
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("frobnicate = 1")
+    # after frobnicate: keys that took one value in every caller, now constants
+    @pytest.mark.parametrize(
+        "key",
+        ["frobnicate", "p", "leader_in_group", "sharpness", "noise_scale", "attack_scale", "attack_sigma",
+         "tamper_delta"],
+    )
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 1")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +113,10 @@ class TestTableError:
         b = cmd_table_error(cfg, tmp_path / "b").read_bytes()
         assert a == b
 
+    def test_small_sweep_pinned(self, tmp_path):
+        cfg = ExperimentConfig(sweep_n=(20,), sweep_k=(2, 3), sweep_t=(1, 2), reps=2)
+        digest = hashlib.sha256(cmd_table_error(cfg, tmp_path).read_bytes()).hexdigest()
+        assert digest == "a830e35ee30c7edb1f9ab353dd2df65095d5fbbf00ee019c84a4b4864e3cd985"
 
     @staticmethod
     def sweep(sweep_n, sweep_k, sweep_t, **overrides):
@@ -135,6 +143,9 @@ class TestGroupParams:
     """Both sweeps hand every group the config's eight group fields."""
 
     FIELDS = dict(grain="sample", d=7, omega=5, q=4, sigma=500.0, theta=5.0, radius=1.1, f_degree=2)
+
+    def test_fields_are_the_group_fields(self):
+        assert tuple(self.FIELDS) == GROUP_FIELDS
 
     def test_every_group_gets_the_config_fields(self, tmp_path, monkeypatch):
         calls = []

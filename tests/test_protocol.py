@@ -226,6 +226,14 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig, match=match):
             run_single_group(4, k, 1, d=4, **params)
 
+    @pytest.mark.parametrize("key", ["straggler_ids", "leader_in_group", "p", "n"])
+    def test_single_group_takes_only_group_fields(self, monkeypatch, key):
+        assert key not in protocol.GROUP_FIELDS
+        unplanned = lambda *args, **kwargs: pytest.fail("planned with a key outside GROUP_FIELDS")
+        monkeypatch.setattr(protocol.coding, "make_group_plan", unplanned)
+        with pytest.raises(TypeError, match=f"group field {key}$"):
+            run_single_group(4, 2, 1, d=4, **{key: 1})
+
     def test_sample_grain_needs_positive_omega(self):
         cfg = small_cfg(grain="sample", omega=0, k=2)
         with pytest.raises(InfeasibleConfig):
@@ -247,14 +255,6 @@ class TestConfigValidation:
 
         with pytest.raises(ValueError):
             run_single_group(8, 2, 1, grain="class", d=4, f_degree=2, backend=MockBackend())
-
-
-class TestLeaderInGroup:
-    def test_leader_contributes_as_member(self):
-        cfg, transcript = run_small(n=6, r=4, leader_in_group=True)
-        for leader, res in transcript.group_results.items():
-            assert leader in res.members
-            assert res.verdict == "accept"
 
 
 class TestMembershipUpdate:

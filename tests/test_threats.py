@@ -4,6 +4,7 @@ import pytest
 from svafd.filtration import build_topology, compute_cal, intimacy
 from svafd.protocol import RoundConfig, run_round
 from svafd.threats import (
+    CLIENT_KINDS,
     AttackSpec,
     KindMismatch,
     apply_attack,
@@ -21,10 +22,18 @@ class TestApplyAttack:
         out = apply_attack(AttackSpec("scale", {"factor": 1.0}), logits, "class")
         np.testing.assert_array_equal(out, logits)
 
-    def test_label_flip_identity_permutation(self):
+    def test_default_label_flip_reverses_the_classes(self):
         logits = np.arange(9.0).reshape(3, 3)
-        out = apply_attack(AttackSpec("label_flip"), logits, "class")
-        np.testing.assert_array_equal(out, logits)
+        np.testing.assert_array_equal(apply_attack(AttackSpec("label_flip"), logits, "class"), logits[::-1])
+        np.testing.assert_array_equal(apply_attack(AttackSpec("label_flip"), logits, "sample"), logits[:, ::-1])
+
+    @pytest.mark.parametrize("kind", sorted(CLIENT_KINDS - {"colluding_copy"}))
+    @pytest.mark.parametrize("grain", ["class", "sample"])
+    def test_default_attack_changes_the_matrix(self, kind, grain):
+        # no default strength is a no-op: colluding_copy alone keeps a victim's own rows
+        logits = np.random.default_rng(4).uniform(-5.0, 5.0, (6, 6))
+        out = apply_attack(AttackSpec(kind), logits, grain, rng=np.random.default_rng(5))
+        assert not np.allclose(out, logits)
 
     def test_label_flip_swaps_class_rows(self):
         spec = AttackSpec("label_flip", {"permutation": [1, 0, 2]})
