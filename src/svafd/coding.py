@@ -29,10 +29,6 @@ class ShapeMismatch(ValueError):
     """Bundle blocks and plan coefficients disagree."""
 
 
-class MissingShare(LookupError):
-    """An expected group member never delivered its share."""
-
-
 class InsufficientShares(RuntimeError):
     """Fewer aggregates than the interpolation threshold: the straggler
     budget is exhausted."""
@@ -222,7 +218,6 @@ class EncodedShare:
 
 @dataclass(frozen=True)
 class AggregatedShare:
-    holder: int
     payload: np.ndarray  # (omega, d) complex
 
 
@@ -241,35 +236,29 @@ def encode(bundle: SplitBundle, lagrange: np.ndarray, members, sender: int) -> l
     ]
 
 
-def local_aggregate(received, blinded_weights: dict, f_coeffs, holder: int) -> AggregatedShare:
-    """Weighted sum of f(share) over every member in the weights view, in
-    view order.
+def local_aggregate(received, blinded_weights: dict, f_coeffs) -> AggregatedShare:
+    """Weighted sum of f(share) over the weights view: received holds one
+    share per view member, in view order, and pairs with the weights by
+    position (a length mismatch raises ValueError). The caller attributes
+    each share to its member; the `sender` a share names is not read.
 
     For f(x) = x, the only f a verified round uses, this is one running sum,
     acc = w0*s0 then acc += w*s, with the bytes Horner would give but no
     polynomial evaluation; Horner (`apply_poly`) runs per share only for any
-    other f. Raises MissingShare when a member listed in the view never
-    delivered.
+    other f.
     """
-    by_sender = {}
-    for share in received:
-        by_sender[share.sender] = share.payload
+    if not blinded_weights:
+        raise ValueError("empty weights view")
     identity = is_identity(f_coeffs)
     payload = term = None
-    for member, w in blinded_weights.items():
-        if member not in by_sender:
-            raise MissingShare(f"no share from member {member}")
-        share = by_sender[member]
-        if not identity:
-            share = apply_poly(f_coeffs, share)
+    for share, w in zip(received, blinded_weights.values(), strict=True):
+        share = share.payload if identity else apply_poly(f_coeffs, share.payload)
         if payload is None:
             payload = np.multiply(w, share, dtype=complex)
             term = np.empty_like(payload)
         else:
             payload += np.multiply(w, share, out=term, dtype=complex)
-    if payload is None:
-        raise ValueError("empty weights view")
-    return AggregatedShare(holder=holder, payload=payload)
+    return AggregatedShare(payload=payload)
 
 
 def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) -> list[np.ndarray]:
@@ -307,10 +296,6 @@ def deblind_and_join(decoded, blind_factor: np.ndarray, grain: str) -> np.ndarra
 
 @dataclass(frozen=True)
 class Achievability:
-    n: int
-    k: int
-    t: int
-    deg_f: int
     threshold: int
     d_resilience: int
     feasible: bool
@@ -321,9 +306,7 @@ def check_achievable(n: int, k: int, t: int, deg_f: int) -> Achievability:
     when nonnegative."""
     threshold = deg_f * (k + t - 1) + 1
     d = n - threshold
-    return Achievability(
-        n=n, k=k, t=t, deg_f=deg_f, threshold=threshold, d_resilience=d, feasible=d >= 0
-    )
+    return Achievability(threshold=threshold, d_resilience=d, feasible=d >= 0)
 
 
 def noise_coeff_submatrix(nodes: InterpolationNodes, k: int, share_indices) -> np.ndarray:

@@ -451,9 +451,10 @@ def _exchange(group: _Group, bus) -> None:
     live member takes its invite and plan, encodes its bundle under the plan's
     Lagrange coefficients and sends one share per plan member, keeping its
     share to itself; the group drops the bundle there, so none is left after
-    this stage. After the leader's weight signatures, each aggregates
-    the shares it holds under the blinded weights of its plan and sends the
-    aggregate, naming their senders, to the server."""
+    this stage. After the leader's weight signatures, each attributes every
+    share it holds to its bus sender (the sender a share names is not read),
+    aggregates them in its plan's member order under the plan's blinded
+    weights and sends the aggregate, naming those members, to the server."""
     cfg, plan, perf = group.cfg, group.plan, group.perf
     leader, send = plan.leader, bus.send
     invite = {"leader": leader}
@@ -493,7 +494,7 @@ def _exchange(group: _Group, bus) -> None:
         members = plans[member]["members"]
         view = {m: w for m, w in zip(members, plans[member]["blinded_weights"]) if m in held}
         with perf.timer("follower", "aggregate"):
-            agg = coding.local_aggregate(held.values(), view, f_coeffs, holder=member)
+            agg = coding.local_aggregate([held[m] for m in view], view, f_coeffs)
         payload = dict(leader=leader, alpha_index=members.index(member), payload=agg.payload, contributors=tuple(view))
         send(AGGREGATED_SHARE, member, SERVER, payload)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from svafd import protocol, threats
+from svafd.coding import EncodedShare
 from svafd.filtration import Topology, build_topology, intimacy_list, select_group
 from svafd.protocol import (
     AGGREGATED_SHARE,
@@ -751,6 +752,85 @@ class TestBusMutation:
         assert transcript.topology.groups == want
         assert want != honest.topology.groups
         assert want[0] != honest.topology.groups[0]
+
+
+class TestOneMessageInGroupFive:
+    """One in-flight mutation in group 5 of the seeded n=12, r=4 round on the
+    mock backend (all four members live). A holder attributes each share to
+    its bus sender, so a forged inner sender changes nothing. The xfails
+    record known defects: three malformed messages that still abort the
+    round (ROADMAP item 10) and a server forgery that passes (item 7)."""
+
+    LEADER = 5
+    SHAPE = dict(n=12, r=4, k=2, t=1, d=5, seed=1)
+
+    @classmethod
+    def run(cls, build=None, **overrides):
+        cfg = RoundConfig(**{**cls.SHAPE, **overrides})
+        tamper = None if build is None else Adversary(cls.LEADER, build)
+        return run_round(cfg, workload_provider(cfg, samples=60), tamper=tamper)
+
+    def assert_not_accepted(self, build):
+        transcript = self.run(build)
+        assert transcript.group_results[self.LEADER].verdict != "accept"
+
+    def test_forged_inner_sender_is_ignored(self):
+        hit = []
+
+        def build(plan, live):
+            def forge(payload):
+                share = payload["share"]
+                hit.append(share.sender)
+                return {**payload, "share": EncodedShare(live[2], share.receiver, share.payload)}
+
+            return {(SHARE, live[0], live[1], plan.leader): forge}
+
+        honest, forged = self.run(), self.run(build)
+        got = forged.group_results[self.LEADER]
+        assert len(hit) == 1 and got.verdict == "accept"
+        assert got.teacher.tobytes() == honest.group_results[self.LEADER].teacher.tobytes()
+
+    @staticmethod
+    def edit_first_aggregate(name, edit):
+        def build(plan, live):
+            key = (AGGREGATED_SHARE, live[0], SERVER, plan.leader)
+            return {key: lambda payload: {**payload, name: edit(payload[name])}}
+
+        return build
+
+    ABORTS = "ROADMAP item 10: a malformed message aborts the round"
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=ABORTS)
+    def test_shifted_aggregate_index(self):
+        self.assert_not_accepted(self.edit_first_aggregate("alpha_index", lambda x: (x + 1) % self.SHAPE["r"]))
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=ABORTS)
+    def test_aggregate_missing_its_last_row(self):
+        self.assert_not_accepted(self.edit_first_aggregate("payload", lambda payload: payload[:-1]))
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=ABORTS)
+    def test_plan_leaves_its_member_out(self):
+        def build(plan, live):
+            def drop_member(payload):
+                return {**payload, "members": tuple(m for m in payload["members"] if m != live[0])}
+
+            return {(PLAN_DISTRIBUTION, plan.leader, live[0], plan.leader): drop_member}
+
+        self.assert_not_accepted(build)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7: the proof binds only the total")
+    def test_server_moves_mass_between_sample_slots(self):
+        def build(plan, live):
+            def forge(payload):
+                decoded = [d.copy() for d in payload["decoded"]]
+                decoded[0][0, 0] += 5
+                decoded[1][0, 0] -= 5
+                return {**payload, "decoded": decoded}
+
+            return {(DECODED_RESULT, SERVER, plan.leader, None): forge}
+
+        transcript = self.run(build, d=4, omega=3, grain="sample")
+        assert transcript.group_results[self.LEADER].verdict == "reject"
 
 
 class TestLateDropout:
