@@ -209,38 +209,29 @@ def make_group_plan(
     )
 
 
-@dataclass(slots=True)
-class EncodedShare:
-    sender: int
-    receiver: int
-    payload: np.ndarray  # (omega, d) complex
-
-
 @dataclass(frozen=True)
-class AggregatedShare:
+class Share:
     payload: np.ndarray  # (omega, d) complex
 
 
-def encode(bundle: SplitBundle, lagrange: np.ndarray, members, sender: int) -> list[EncodedShare]:
-    """One share per group member: members[x] gets sum_j block_j * l_j(alpha_x),
-    with lagrange[j, x] = l_{j+1}(alpha_x) as in the plan the sender took."""
+def encode(bundle: SplitBundle, lagrange: np.ndarray, members) -> list[Share]:
+    """One share per group member, in members order: members[x] gets
+    sum_j block_j * l_j(alpha_x), with lagrange[j, x] = l_{j+1}(alpha_x) as in
+    the plan the encoding member took."""
     blocks = bundle.blocks()
     if lagrange.shape != (blocks.shape[0], len(members)):
         raise ShapeMismatch(
             f"bundle has {blocks.shape[0]} blocks for {len(members)} members, plan coefficients are {lagrange.shape}"
         )
     payloads = np.einsum("jx,jod->xod", lagrange, blocks)
-    return [
-        EncodedShare(sender=sender, receiver=member, payload=payloads[x])
-        for x, member in enumerate(members)
-    ]
+    return [Share(payloads[x]) for x in range(len(members))]
 
 
-def local_aggregate(received, blinded_weights: dict, f_coeffs) -> AggregatedShare:
+def local_aggregate(received, blinded_weights: dict, f_coeffs) -> Share:
     """Weighted sum of f(share) over the weights view: received holds one
     share per view member, in view order, and pairs with the weights by
-    position (a length mismatch raises ValueError). The caller attributes
-    each share to its member; the `sender` a share names is not read.
+    position (a length mismatch raises ValueError). A share names no member:
+    the caller attributes each to its bus sender.
 
     For f(x) = x, the only f a verified round uses, this is one running sum,
     acc = w0*s0 then acc += w*s, with the bytes Horner would give but no
@@ -258,7 +249,7 @@ def local_aggregate(received, blinded_weights: dict, f_coeffs) -> AggregatedShar
             term = np.empty_like(payload)
         else:
             payload += np.multiply(w, share, out=term, dtype=complex)
-    return AggregatedShare(payload=payload)
+    return Share(payload)
 
 
 def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) -> list[np.ndarray]:

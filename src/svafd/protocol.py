@@ -13,12 +13,15 @@ verify; "insufficient" below the interpolation threshold).
 `_exchange` and `_conclude` send and take the group's messages themselves,
 through the `MessageBus`'s `send` and `take`: `run_round` passes the round's
 bus, `run_single_group` and the tests a fresh one over an empty transcript.
-Every party acts only on what it takes: a member on its invite, its plan and
-the shares it holds (its share to itself stays local), the server on its
-roster, the aggregates and the signatures, and the leader on its key shares
-and the decoded result. Every in-flight attack, built by the threats module,
-enters as a mutation that `MessageBus.send` applies to one message before
-recording it; one that returns `DROP` stops the message, a late dropout.
+Every party acts only on what it takes: a member on its plan and the shares
+it holds (its share to itself stays local), the server on its roster, the
+aggregates and the signatures, and the leader on its key shares and the
+decoded result. A message names its sender and receiver only on the bus
+envelope, and the party that takes it reads them there; a payload's
+"leader" routes it to its group. Every in-flight attack, built by the
+threats module, enters as a mutation that `MessageBus.send` applies to one
+message before recording it; one that returns `DROP` stops the message, a
+late dropout.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
@@ -46,7 +49,6 @@ DROP = object()  # what a bus mutation returns to stop its message: a late dropo
 
 # message kinds, each bound to one stage
 HASHED_CAL = "hashed_cal"
-GROUP_INVITE = "group_invite"
 PLAN_DISTRIBUTION = "plan_distribution"
 SHARE = "share"
 KEY_SHARE = "key_share"
@@ -56,7 +58,6 @@ DECODED_RESULT = "decoded_result"
 
 STAGE_OF_KIND = {
     HASHED_CAL: "filtration",
-    GROUP_INVITE: "aggregation",
     PLAN_DISTRIBUTION: "aggregation",
     SHARE: "aggregation",
     KEY_SHARE: "aggregation",
@@ -132,7 +133,6 @@ class RoundConfig:
 @dataclass(slots=True)
 class Message:
     seq: int
-    stage: str
     kind: str
     sender: int
     receiver: int
@@ -220,13 +220,13 @@ class RoundTranscript:
         then one per group result in leader order.
 
         The export streams. A message whose payload is the very object of
-        the message before it (a group's invite and plan, sent to each
-        member in turn) reuses that digest; every other payload is digested
-        afresh, so the memo holds one payload and nothing carries over to a
-        later export. Each line carries its newline. Lines are joined
-        `_EXPORT_CHUNK` at a time and the chunks once, into the result, so
-        besides the result the export holds the joined chunks and at most
-        one chunk of line strings, and never copies the whole text again.
+        the message before it (a group's plan, sent to each member in turn)
+        reuses that digest; every other payload is digested afresh, so the
+        memo holds one payload and nothing carries over to a later export.
+        Each line carries its newline. Lines are joined `_EXPORT_CHUNK` at a
+        time and the chunks once, into the result, so besides the result the
+        export holds the joined chunks and at most one chunk of line strings,
+        and never copies the whole text again.
         """
         chunks, lines = [], []
         last = digest = None
@@ -236,7 +236,7 @@ class RoundTranscript:
             # the same bytes as json.dumps(..., sort_keys=True) of the record
             lines.append(
                 f'{{"from": {m.sender}, "kind": {_quote(m.kind)}, "payload_sha256": "{digest}", '
-                f'"seq": {m.seq}, "stage": {_quote(m.stage)}, "to": {m.receiver}}}\n'
+                f'"seq": {m.seq}, "stage": {_quote(STAGE_OF_KIND[m.kind])}, "to": {m.receiver}}}\n'
             )
             if len(lines) == _EXPORT_CHUNK:
                 chunks.append("".join(lines))
@@ -299,14 +299,7 @@ class MessageBus:
                 payload = mutate(payload)
                 if payload is DROP:
                     return None
-        msg = Message(
-            seq=self._seq,
-            stage=STAGE_OF_KIND[kind],
-            kind=kind,
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-        )
+        msg = Message(seq=self._seq, kind=kind, sender=sender, receiver=receiver, payload=payload)
         self._seq += 1
         self.transcript.messages.append(msg)
         self.inboxes.setdefault((receiver, kind, leader), []).append(msg)
@@ -446,20 +439,17 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
 
 
 def _exchange(group: _Group, bus) -> None:
-    """Stage 2, share exchange: the leader sends invites, the plan and the
-    server's roster; every member sends its key share and signatures. Every
-    live member takes its invite and plan, encodes its bundle under the plan's
-    Lagrange coefficients and sends one share per plan member, keeping its
-    share to itself; the group drops the bundle there, so none is left after
-    this stage. After the leader's weight signatures, each attributes every
-    share it holds to its bus sender (the sender a share names is not read),
-    aggregates them in its plan's member order under the plan's blinded
-    weights and sends the aggregate, naming those members, to the server."""
+    """Stage 2, share exchange: the leader sends each member the plan and the
+    server the roster; every member sends its key share and signatures.
+    Every live member takes its plan, encodes its bundle under the plan's
+    Lagrange coefficients and sends the x-th share to the plan's x-th member,
+    keeping its share to itself; the group drops the bundle there, so none
+    is left after this stage. After the leader's weight signatures, each
+    attributes every share it holds to its bus sender, aggregates them in its
+    plan's member order under the plan's blinded weights and sends the
+    aggregate, naming those members as contributors, to the server."""
     cfg, plan, perf = group.cfg, group.plan, group.perf
     leader, send = plan.leader, bus.send
-    invite = {"leader": leader}
-    for member in plan.members:
-        send(GROUP_INVITE, leader, member, invite)
     distribution = dict(
         leader=leader, lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members
     )
@@ -477,41 +467,42 @@ def _exchange(group: _Group, bus) -> None:
             send(AUX_PROOF, member, SERVER, {"leader": leader, "logits_sigs": group.logits_sigs[member]})
         if member not in group.bundles:
             continue
-        bus.take(member, GROUP_INVITE, leader)
         [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
         mine = plans[member] = taken.payload
         with perf.timer("follower", "encode"):
-            shares = coding.encode(group.bundles.pop(member), mine["lagrange"], mine["members"], sender=member)
-        for share in shares:
-            if share.receiver == member:
+            shares = coding.encode(group.bundles.pop(member), mine["lagrange"], mine["members"])
+        for receiver, share in zip(mine["members"], shares):
+            if receiver == member:
                 own[member] = share
             else:
-                send(SHARE, member, share.receiver, {"leader": leader, "share": share})
+                send(SHARE, member, receiver, {"leader": leader, "share": share})
     send(AUX_PROOF, leader, SERVER, {"leader": leader, "weight_sigs": group.weight_sigs})
     f_coeffs = coding.monomial(cfg.f_degree)
     for member in sorted(group.live):
         held = {member: own[member]} | {m.sender: m.payload["share"] for m in bus.take(member, SHARE, leader)}
-        members = plans[member]["members"]
-        view = {m: w for m, w in zip(members, plans[member]["blinded_weights"]) if m in held}
+        mine = plans[member]
+        view = {m: w for m, w in zip(mine["members"], mine["blinded_weights"]) if m in held}
         with perf.timer("follower", "aggregate"):
             agg = coding.local_aggregate([held[m] for m in view], view, f_coeffs)
-        payload = dict(leader=leader, alpha_index=members.index(member), payload=agg.payload, contributors=tuple(view))
-        send(AGGREGATED_SHARE, member, SERVER, payload)
+        send(AGGREGATED_SHARE, member, SERVER, dict(leader=leader, payload=agg.payload, contributors=tuple(view)))
 
 
 def _conclude(group: _Group, bus) -> GroupResult:
     """Stage 3, conclusion: the server takes its roster, the aggregates and
-    the signatures, decodes at the roster's nodes, proves over the
-    contributors the aggregates name and sends all three to the leader. The
-    leader takes its key shares and that result, then deblinds and verifies;
-    the relative error is against the oracle fixed in `_prepare`.
+    the signatures, places each aggregate at the evaluation point of its bus
+    sender's position in the roster, decodes at the roster's nodes, proves
+    over the contributors the aggregates name and sends all three to the
+    leader. The leader takes its key shares and that result, then deblinds
+    and verifies; the relative error is against the oracle fixed in
+    `_prepare`.
     Fewer aggregates than the interpolation threshold is "insufficient"."""
     cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
     leader = plan.leader
     key_of = {m.sender: sigcrypto.PrivateKey(m.payload["upsilon"]) for m in bus.take(leader, KEY_SHARE)}
     [roster] = [m.payload for m in bus.take(SERVER, PLAN_DISTRIBUTION, leader)]
     aggregates = bus.take(SERVER, AGGREGATED_SHARE, leader)
-    points = [(m.payload["alpha_index"], m.payload["payload"]) for m in aggregates]
+    point_of = {m: x for x, m in enumerate(roster["members"])}
+    points = [(point_of[m.sender], m.payload["payload"]) for m in aggregates]
     signatures = bus.take(SERVER, AUX_PROOF, leader)
     logits_sigs = {m.sender: m.payload["logits_sigs"] for m in signatures if "logits_sigs" in m.payload}
     [weight_sigs] = [m.payload["weight_sigs"] for m in signatures if "weight_sigs" in m.payload]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import EncodedShare
+from .coding import Share
 from .filtration import Topology
 from .protocol import DECODED_RESULT, PLAN_DISTRIBUTION, SERVER, SHARE
 
@@ -166,7 +166,7 @@ class RoundTamper:
             key, name = (SHARE, sender, receiver, leader), "share"
 
             def edit(share):
-                return EncodedShare(share.sender, share.receiver, _shifted(share.payload, entry, delta))
+                return Share(_shifted(share.payload, entry, delta))
 
         elif self.kind == "weight_tamper":
             member = first if self.member is None else self.member

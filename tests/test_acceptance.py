@@ -114,7 +114,8 @@ def _aggregated_group(seed, r, k, t, d=6, q=3, sigma=1e3):
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, d=d)
     group, bus = exchanged_group(np.random.default_rng(seed), r, cfg, -10, 10)
     received = bus.take(SERVER, AGGREGATED_SHARE, r)
-    return group.plan, [(m.payload["alpha_index"], m.payload["payload"]) for m in received], group.oracle
+    point_of = {m: x for x, m in enumerate(group.plan.members)}
+    return group.plan, [(point_of[m.sender], m.payload["payload"]) for m in received], group.oracle
 
 
 @criterion(4, "dropout resilience at (r=100, k=10, t=10)")

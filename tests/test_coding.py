@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from svafd.coding import (
-    EncodedShare,
     IndivisibleO,
     InsufficientShares,
     ShapeMismatch,
+    Share,
     ZeroBlindEntry,
     blind,
     check_achievable,
@@ -136,10 +136,10 @@ class TestEncode:
         rng = np.random.default_rng(4)
         plan = make_group_plan(0, [1, 2, 3], 1, 0, (2, 2), rng)
         b = split(np.array([[1.0, 2.0], [3.0, 4.0]]), 1, "class")
-        shares = [sh for sh in encode(b, plan.lagrange, plan.members, sender=9)]
+        shares = encode(b, plan.lagrange, plan.members)
+        assert len(shares) == 3
         for sh in shares:
             np.testing.assert_allclose(sh.payload, b.slices[0], atol=1e-12)
-            assert sh.sender == 9
 
     def test_anchor_evaluation_recovers_slices(self):
         # the encoding polynomial takes value slice_k at anchor beta_k
@@ -164,7 +164,7 @@ class TestEncode:
         logits = rng.uniform(-5, 5, (3, 3))
         b = blind(split(logits, k, "class", rng=rng), t, 10.0, 6.0, rng)
         blocks = b.blocks()
-        shares = encode(b, plan.lagrange, plan.members, sender=0)
+        shares = encode(b, plan.lagrange, plan.members)
         for x, sh in enumerate(shares):
             alpha = plan.nodes.alphas[x]
             want = np.zeros((3, 3), dtype=complex)
@@ -181,33 +181,33 @@ class TestEncode:
         plan = make_group_plan(0, [1, 2], 2, 1, (2, 2), rng)
         b = split(np.eye(2), 1, "class")
         with pytest.raises(ShapeMismatch):
-            encode(b, plan.lagrange, plan.members, sender=0)
+            encode(b, plan.lagrange, plan.members)
 
 
 class TestLocalAggregate:
-    def mk_share(self, sender, val):
-        return EncodedShare(sender=sender, receiver=0, payload=np.array([[complex(val)]]))
+    def mk_share(self, val):
+        return Share(np.array([[complex(val)]]))
 
     def test_plain_sum(self):
-        shares = [self.mk_share(0, 1.0), self.mk_share(1, 2.0)]
+        shares = [self.mk_share(1.0), self.mk_share(2.0)]
         view = {0: np.ones((1, 1)), 1: np.ones((1, 1))}
         agg = local_aggregate(shares, view, monomial(1))
         np.testing.assert_allclose(agg.payload, [[3.0]])
 
     def test_zero_weight_drops_member(self):
-        shares = [self.mk_share(0, 1.0), self.mk_share(1, 5.0)]
+        shares = [self.mk_share(1.0), self.mk_share(5.0)]
         view = {0: 2 * np.ones((1, 1)), 1: np.zeros((1, 1))}
         agg = local_aggregate(shares, view, monomial(1))
         np.testing.assert_allclose(agg.payload, [[2.0]])
 
     def test_elementwise_square(self):
-        shares = [self.mk_share(0, 3.0)]
+        shares = [self.mk_share(3.0)]
         agg = local_aggregate(shares, {0: np.ones((1, 1))}, monomial(2))
         np.testing.assert_allclose(agg.payload, [[9.0]])
 
     def test_one_share_short_of_the_view(self):
         with pytest.raises(ValueError):
-            local_aggregate([self.mk_share(0, 1.0)], {0: np.ones((1, 1)), 1: np.ones((1, 1))}, monomial(1))
+            local_aggregate([self.mk_share(1.0)], {0: np.ones((1, 1)), 1: np.ones((1, 1))}, monomial(1))
 
 
 def horner_aggregate(received, view, f_coeffs):
@@ -228,10 +228,8 @@ class TestDegreeOneAggregate:
 
     shape = (4, 3)
 
-    def shares(self, rng, senders):
-        return [
-            EncodedShare(z, 0, rng.normal(size=self.shape) + 1j * rng.normal(size=self.shape)) for z in senders
-        ]
+    def shares(self, rng, count):
+        return [Share(rng.normal(size=self.shape) + 1j * rng.normal(size=self.shape)) for _ in range(count)]
 
     def view(self, rng, members):
         weights = quantize(rng.uniform(0.01, 0.3, len(members)), 3)
@@ -246,30 +244,30 @@ class TestDegreeOneAggregate:
     def test_non_uniform_weights(self):
         rng = np.random.default_rng(21)
         view, _ = self.view(rng, range(7))
-        self.assert_matches_reference(self.shares(rng, range(7)), view)
+        self.assert_matches_reference(self.shares(rng, 7), view)
 
     def test_weight_tamper_view(self):
         rng = np.random.default_rng(22)
         view, blind_factor = self.view(rng, range(5))
         view = {**view, 2: view[2] + 1e-3 * blind_factor}
-        self.assert_matches_reference(self.shares(rng, range(5)), view)
+        self.assert_matches_reference(self.shares(rng, 5), view)
 
     def test_single_member_view(self):
         rng = np.random.default_rng(23)
         view, _ = self.view(rng, [3])
-        self.assert_matches_reference(self.shares(rng, [3]), view)
+        self.assert_matches_reference(self.shares(rng, 1), view)
 
     def test_encoded_shares(self):
         rng = np.random.default_rng(25)
         plan = make_group_plan(9, range(6), 2, 1, self.shape, rng)
         bundles = [blind(split(rng.uniform(-10, 10, (8, 3)), 2, "sample"), 1, 100.0, 6.0, rng) for _ in range(6)]
-        inbox = [encode(b, plan.lagrange, plan.members, sender=z)[3] for z, b in enumerate(bundles)]
+        inbox = [encode(b, plan.lagrange, plan.members)[3] for b in bundles]
         self.assert_matches_reference(inbox, dict(zip(plan.members, plan.blinded_weights)))
 
     def test_empty_view_still_raises(self):
         rng = np.random.default_rng(26)
         with pytest.raises(ValueError, match="empty weights view"):
-            local_aggregate(self.shares(rng, [0]), {}, monomial(1))
+            local_aggregate(self.shares(rng, 1), {}, monomial(1))
 
 
 class TestDecode:
@@ -291,8 +289,8 @@ class TestDecode:
         }
         inbox = {x: [] for x in range(r)}
         for z in range(r):
-            for sh in encode(bundles[z], plan.lagrange, plan.members, sender=z):
-                inbox[sh.receiver].append(sh)
+            for x, sh in enumerate(encode(bundles[z], plan.lagrange, plan.members)):
+                inbox[x].append(sh)
         view = {z: plan.blinded_weights[z] for z in range(r)}
         aggs = [(x, local_aggregate(inbox[x], view, monomial(1)).payload) for x in range(r)]
         decoded = decode(aggs, plan.nodes, k, 0, 1)

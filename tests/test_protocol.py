@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from svafd import protocol, threats
-from svafd.coding import EncodedShare
 from svafd.filtration import Topology, build_topology, intimacy_list, select_group
 from svafd.protocol import (
     AGGREGATED_SHARE,
     AUX_PROOF,
     BROADCAST,
     DECODED_RESULT,
-    GROUP_INVITE,
     HASHED_CAL,
     KEY_SHARE,
     PLAN_DISTRIBUTION,
@@ -328,7 +326,7 @@ def reference_export_jsonl(transcript) -> str:
     for m in transcript.messages:
         h = hashlib.sha256()
         _reference_feed(h, m.payload)
-        record = {"seq": m.seq, "stage": m.stage, "kind": m.kind, "from": m.sender, "to": m.receiver,
+        record = {"seq": m.seq, "stage": STAGE_OF_KIND[m.kind], "kind": m.kind, "from": m.sender, "to": m.receiver,
                   "payload_sha256": h.hexdigest()}
         lines.append(json.dumps(record, sort_keys=True))
     for leader in sorted(transcript.group_results):
@@ -347,7 +345,7 @@ def reference_export_jsonl(transcript) -> str:
 
 
 # what a member takes; a straggler leaves these filed
-MEMBER_KINDS = {GROUP_INVITE, PLAN_DISTRIBUTION, SHARE}
+MEMBER_KINDS = {PLAN_DISTRIBUTION, SHARE}
 
 
 def tampered_round(kind, **overrides):
@@ -379,8 +377,8 @@ class TestRoundHotPath:
         first = transcript.export_jsonl()
         last = transcript.messages[-1]
         transcript.messages.append(
-            Message(seq=last.seq + 1, stage="verification", kind="decoded_result", sender=SERVER,
-                    receiver=0, payload={"leader": 0, "note": np.arange(3.0)})
+            Message(seq=last.seq + 1, kind="decoded_result", sender=SERVER, receiver=0,
+                    payload={"leader": 0, "note": np.arange(3.0)})
         )
         second = transcript.export_jsonl()
         assert second == reference_export_jsonl(transcript) != first
@@ -489,14 +487,14 @@ class TestTranscriptBytes:
 
     HONEST = {"straggler_ids": frozenset()}
     ROUNDS = {  # name: (tamper kind, round overrides, SHA-256 of the export)
-        "honest": (None, HONEST, "7f4ca0cd4cec8bbebd96931f6bfa87d1f92b3f977750d740d17ebe92508dff42"),
-        "stragglers": (None, {}, "f0e0053cb8ef59d09b362ae7c16920036c6fe7d2b85ae483fae9ed0dbbb174fb"),
-        "share_tamper": ("share_tamper", {}, "cf1673399bf3cd93066face8676a398f54a2a6d92db2b28c6efb2ce3f3ffa49e"),
-        "weight_tamper": ("weight_tamper", {}, "87b43e84b8462d8b21c69a70cbd47e9eca08683045d6fa97317df45f0ee085cf"),
-        "server_tamper": ("server_tamper", {}, "5b7f7a5882158de0b92d9b0635328890e8c8f3cdcacca596f404f245a097f5fe"),
+        "honest": (None, HONEST, "237354e42a47e25234ff6a11491cbfad9c8510950a1710be536e0ffa34359509"),
+        "stragglers": (None, {}, "89b48d6556b442807875e6040b88879d1230ae656a785b5869029a84056a6b13"),
+        "share_tamper": ("share_tamper", {}, "65011f33d5376be87d2ca1cacf145393240248da6492f2399bd04742202857e9"),
+        "weight_tamper": ("weight_tamper", {}, "ae45a737ef8f4978027e7dafd69061a99311a2c10b98ba7ec2ba6f9d5c017d31"),
+        "server_tamper": ("server_tamper", {}, "2b5ed43a2a03622bba71e6537c92b89ee1486a81104e88edc807769c27d82814"),
         "sample_grain": (
             None, {**HONEST, "grain": "sample", "omega": 4},
-            "1e5355bc26191d15b491f995249a0f1adc89256a9a8916fb6417a7faf9d3e587",
+            "cf6e104cd4deef0779540d373eb67190637e137d4d9162ef6926bc6724d91e55",
         ),
     }
 
@@ -531,14 +529,13 @@ class TestStreamedExport:
     def test_empty_transcript(self):
         assert protocol.RoundTranscript().export_jsonl() == reference_export_jsonl(protocol.RoundTranscript()) == "\n"
 
-    def test_group_sends_one_invite_and_one_plan_object(self):
+    def test_group_sends_one_plan_object(self):
         _, transcript = tampered_round(None)
-        for kind in (GROUP_INVITE, PLAN_DISTRIBUTION):
-            objects = {}
-            for m in messages_of(transcript, kind=kind):
-                if m.receiver != SERVER:
-                    objects.setdefault(m.sender, set()).add(id(m.payload))
-            assert sorted(objects) == list(range(10)) and all(len(ids) == 1 for ids in objects.values())
+        objects = {}
+        for m in messages_of(transcript, kind=PLAN_DISTRIBUTION):
+            if m.receiver != SERVER:
+                objects.setdefault(m.sender, set()).add(id(m.payload))
+        assert sorted(objects) == list(range(10)) and all(len(ids) == 1 for ids in objects.values())
 
     def test_transient_memory_bounded_by_the_text(self):
         import tracemalloc
@@ -610,7 +607,7 @@ class TestGroupOverFreshBus:
             bus.mutations.update(tamper.mutations(group.plan, group.live))
         protocol._exchange(group, bus)
         server = [
-            (m.sender, m.payload["alpha_index"], m.payload["payload"].tobytes())
+            (m.sender, m.payload["payload"].tobytes())
             for m in bus.inboxes[(SERVER, AGGREGATED_SHARE, self.LEADER)]
         ]
         return protocol._conclude(group, bus), server, bus.transcript
@@ -667,8 +664,8 @@ class TestInboxDrain:
         transcript = run_round(cfg, workload_provider(cfg, alpha=1.0, samples=120), tamper=tamper)
         [bus] = buses
         self.assert_drained(bus, self.STRAGGLERS)
-        # 68 invites, 68 plans and 552 shares to stragglers; 40 fingerprints sent
-        assert len(filed(bus)) == 688 and len(transcript.messages) == 5012
+        # 68 plans and 552 shares to stragglers; 40 fingerprints sent
+        assert len(filed(bus)) == 620 and len(transcript.messages) == 4612
         assert len(messages_of(transcript, kind=HASHED_CAL)) == cfg.n
 
     def test_insufficient_groups_take_their_messages(self, buses):
@@ -756,10 +753,11 @@ class TestBusMutation:
 
 class TestOneMessageInGroupFive:
     """One in-flight mutation in group 5 of the seeded n=12, r=4 round on the
-    mock backend (all four members live). A holder attributes each share to
-    its bus sender, so a forged inner sender changes nothing. The xfails
-    record known defects: three malformed messages that still abort the
-    round (ROADMAP item 10) and a server forgery that passes (item 7)."""
+    mock backend (all four members live). The server places each aggregate
+    by its bus sender's position in the roster, so an index an aggregate
+    names changes nothing. The xfails record known defects: three malformed
+    messages that still abort the round (ROADMAP item 10) and a server
+    forgery that passes (item 7)."""
 
     LEADER = 5
     SHAPE = dict(n=12, r=4, k=2, t=1, d=5, seed=1)
@@ -774,16 +772,17 @@ class TestOneMessageInGroupFive:
         transcript = self.run(build)
         assert transcript.group_results[self.LEADER].verdict != "accept"
 
-    def test_forged_inner_sender_is_ignored(self):
+    def test_forged_aggregate_index_is_ignored(self):
         hit = []
 
         def build(plan, live):
-            def forge(payload):
-                share = payload["share"]
-                hit.append(share.sender)
-                return {**payload, "share": EncodedShare(live[2], share.receiver, share.payload)}
+            forged = (plan.members.index(live[0]) + 1) % len(plan.members)  # the next member's point
 
-            return {(SHARE, live[0], live[1], plan.leader): forge}
+            def forge(payload):
+                hit.append(forged)
+                return {**payload, "alpha_index": forged}
+
+            return {(AGGREGATED_SHARE, live[0], SERVER, plan.leader): forge}
 
         honest, forged = self.run(), self.run(build)
         got = forged.group_results[self.LEADER]
@@ -798,11 +797,20 @@ class TestOneMessageInGroupFive:
 
         return build
 
-    ABORTS = "ROADMAP item 10: a malformed message aborts the round"
+    @staticmethod
+    def members_without_first_live(receiver):
+        """A PLAN_DISTRIBUTION from the leader to receiver(live) whose
+        members leave live[0] out."""
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason=ABORTS)
-    def test_shifted_aggregate_index(self):
-        self.assert_not_accepted(self.edit_first_aggregate("alpha_index", lambda x: (x + 1) % self.SHAPE["r"]))
+        def build(plan, live):
+            def drop_member(payload):
+                return {**payload, "members": tuple(m for m in payload["members"] if m != live[0])}
+
+            return {(PLAN_DISTRIBUTION, plan.leader, receiver(live), plan.leader): drop_member}
+
+        return build
+
+    ABORTS = "ROADMAP item 10: a malformed message aborts the round"
 
     @pytest.mark.xfail(strict=True, raises=ValueError, reason=ABORTS)
     def test_aggregate_missing_its_last_row(self):
@@ -810,13 +818,11 @@ class TestOneMessageInGroupFive:
 
     @pytest.mark.xfail(strict=True, raises=ValueError, reason=ABORTS)
     def test_plan_leaves_its_member_out(self):
-        def build(plan, live):
-            def drop_member(payload):
-                return {**payload, "members": tuple(m for m in payload["members"] if m != live[0])}
+        self.assert_not_accepted(self.members_without_first_live(lambda live: live[0]))
 
-            return {(PLAN_DISTRIBUTION, plan.leader, live[0], plan.leader): drop_member}
-
-        self.assert_not_accepted(build)
+    @pytest.mark.xfail(strict=True, raises=KeyError, reason=ABORTS)
+    def test_roster_leaves_a_live_member_out(self):
+        self.assert_not_accepted(self.members_without_first_live(lambda live: SERVER))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7: the proof binds only the total")
     def test_server_moves_mass_between_sample_slots(self):
