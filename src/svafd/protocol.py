@@ -156,54 +156,106 @@ _quote = functools.cache(json.dumps)  # JSON text of a message kind or stage nam
 _EXPORT_CHUNK = 1024  # message lines joined at a time by `export_jsonl`
 
 
-@functools.cache
-def _dtype_bytes(dtype) -> bytes:
-    return str(dtype).encode()
+# A payload's digest is the SHA-256 of one byte stream: an array is "A", its
+# dtype and shape as text, then its C-order buffer; a dict "D", then each key
+# and its value, keys in repr order; a list or tuple "L" and its items; a
+# dataclass its class name and its fields in order; anything else its repr.
+# A walk appends the small pieces to `parts`, which go to the hash joined,
+# once before each array buffer and once at the end.
 
 
-@functools.cache
-def _layout(cls):
-    """How `_feed` walks instances of cls: a one-letter tag, and for a
-    dataclass its name and field names."""
-    if issubclass(cls, np.ndarray):
-        return "A"
-    if issubclass(cls, dict):
-        return "D"
-    if issubclass(cls, (list, tuple)):
-        return "L"
-    if hasattr(cls, "__dataclass_fields__"):
-        return cls.__name__.encode(), tuple(f.name for f in fields(cls))
-    return "R"
+def _walk_repr(obj, parts, h):
+    parts.append(repr(obj).encode())
 
 
-def _feed(h, obj):
-    layout = _layout(type(obj))
-    if layout == "R":
-        h.update(repr(obj).encode())
-    elif layout == "A":
-        h.update(b"A")
-        h.update(_dtype_bytes(obj.dtype))
-        h.update(str(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj))  # the buffer itself, not a bytes copy
-    elif layout == "D":
-        h.update(b"D")
-        for key in sorted(obj, key=repr):
-            _feed(h, key)
-            _feed(h, obj[key])
-    elif layout == "L":
-        h.update(b"L")
-        for item in obj:
-            _feed(h, item)
-    else:
-        name, names = layout
-        h.update(name)
+@functools.lru_cache(maxsize=256)
+def _array_header(dtype, shape) -> bytes:
+    return b"A" + str(dtype).encode() + str(shape).encode()
+
+
+def _walk_array(obj, parts, h):
+    parts.append(_array_header(obj.dtype, obj.shape))
+    h.update(b"".join(parts))
+    parts.clear()
+    h.update(np.ascontiguousarray(obj))  # the buffer itself, not a bytes copy
+
+
+def _walk_list(obj, parts, h):
+    parts.append(b"L")
+    for item in obj:
+        _WALKS[type(item)](item, parts, h)
+
+
+def _dict_steps(keys) -> tuple:
+    """(the bytes of the key, the key), in the order the digest takes them."""
+    steps = []
+    for key in sorted(keys, key=repr):
+        parts = []
+        _WALKS[type(key)](key, parts, None)  # a hashable key holds no array
+        steps.append((b"".join(parts), key))
+    return tuple(steps)
+
+
+# key types whose equal values print alike (1 == 1.0 and -0.0 == 0.0 do not)
+_CACHED_KEY_TYPES = frozenset({str, int, bool, type(None)}) | {
+    np.dtype(code).type for code in np.typecodes["AllInteger"]
+}
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: keyed on each key's type too
+def _cached_dict_steps(*keys) -> tuple | None:
+    """A dict's steps, built once per key layout; None where equal keys of
+    these types might print differently."""
+    if not _CACHED_KEY_TYPES.issuperset(map(type, keys)):
+        return None
+    return _dict_steps(keys)
+
+
+def _walk_dict(obj, parts, h):
+    parts.append(b"D")
+    for key_bytes, key in _cached_dict_steps(*obj) or _dict_steps(obj):
+        parts.append(key_bytes)
+        value = obj[key]
+        _WALKS[type(value)](value, parts, h)
+
+
+def _dataclass_walk(cls):
+    name, names = cls.__name__.encode(), tuple(f.name for f in fields(cls))
+
+    def walk(obj, parts, h):
+        parts.append(name)
         for f in names:
-            _feed(h, getattr(obj, f))
+            value = getattr(obj, f)
+            _WALKS[type(value)](value, parts, h)
+
+    return walk
+
+
+class _Walks(dict):
+    """The walk for each class, built on its first payload."""
+
+    def __missing__(self, cls):
+        if issubclass(cls, np.ndarray):
+            walk = _walk_array
+        elif issubclass(cls, dict):
+            walk = _walk_dict
+        elif issubclass(cls, (list, tuple)):
+            walk = _walk_list
+        elif hasattr(cls, "__dataclass_fields__"):
+            walk = _dataclass_walk(cls)
+        else:
+            walk = _walk_repr
+        self[cls] = walk
+        return walk
+
+
+_WALKS = _Walks()
 
 
 def payload_digest(payload) -> str:
-    h = hashlib.sha256()
-    _feed(h, payload)
+    h, parts = hashlib.sha256(), []
+    _WALKS[type(payload)](payload, parts, h)
+    h.update(b"".join(parts))
     return h.hexdigest()
 
 

@@ -6,6 +6,7 @@ from svafd.coding import (
     InsufficientShares,
     ShapeMismatch,
     Share,
+    SplitBundle,
     ZeroBlindEntry,
     blind,
     check_achievable,
@@ -182,6 +183,88 @@ class TestEncode:
         b = split(np.eye(2), 1, "class")
         with pytest.raises(ShapeMismatch):
             encode(b, plan.lagrange, plan.members)
+
+
+def outer_j_encode(bundle, lagrange):
+    """Reference: the encode product with the block axis j outermost."""
+    return np.einsum("jx,jod->xod", lagrange, bundle.blocks())
+
+
+def mixed_bundle(rng, k, t, shape):
+    """Slices and noise whose magnitudes span 1e-3 to 1e3, a tenth of the
+    entries exactly zero."""
+
+    def draw(size, dtype):
+        values = rng.normal(size=size) if dtype is float else rng.normal(size=size) + 1j * rng.normal(size=size)
+        values *= 10.0 ** rng.uniform(-3, 3, size)
+        values[rng.random(size) < 0.1] = 0
+        return values
+
+    return SplitBundle(draw((k,) + shape, float), draw((t,) + shape, complex))
+
+
+def mixed_coeffs(rng, blocks, r):
+    coeffs = (rng.normal(size=(blocks, r)) + 1j * rng.normal(size=(blocks, r))) * 10.0 ** rng.uniform(-3, 3, (blocks, r))
+    coeffs[rng.random(coeffs.shape) < 0.05] = 0
+    return coeffs
+
+
+class TestEncodeBytes:
+    """encode's payloads are byte for byte those of the outer-j einsum."""
+
+    @staticmethod
+    def assert_same_bytes(bundle, lagrange):
+        r = lagrange.shape[1]
+        want = outer_j_encode(bundle, lagrange)
+        shares = encode(bundle, lagrange, range(r))
+        assert len(shares) == r
+        for x, share in enumerate(shares):
+            assert share.payload.dtype == want.dtype and share.payload.shape == want.shape[1:]
+            assert share.payload.tobytes() == want[x].tobytes()
+
+    @pytest.mark.parametrize("grain", ["class", "sample"])
+    def test_random_shapes(self, grain):
+        rng = np.random.default_rng(21 if grain == "class" else 22)
+        for _ in range(100):
+            r = int(rng.integers(1, 101))
+            blocks = int(rng.integers(1, r + 1))
+            k = int(rng.integers(1, blocks + 1))
+            d = int(rng.integers(1, 11))
+            shape = (d, d) if grain == "class" else (int(rng.integers(1, 33)), d)
+            self.assert_same_bytes(mixed_bundle(rng, k, blocks - k, shape), mixed_coeffs(rng, blocks, r))
+
+    @pytest.mark.parametrize("r", [1, 2, 100])
+    def test_one_block(self, r):
+        rng = np.random.default_rng(r)
+        self.assert_same_bytes(mixed_bundle(rng, 1, 0, (4, 3)), mixed_coeffs(rng, 1, r))
+
+    def test_all_zero_blocks_and_coefficients(self):
+        bundle = SplitBundle(np.zeros((2, 3, 3)), np.zeros((1, 3, 3), dtype=complex))
+        self.assert_same_bytes(bundle, np.zeros((3, 5), dtype=complex))
+        self.assert_same_bytes(bundle, -mixed_coeffs(np.random.default_rng(0), 3, 5))
+
+    def test_plan_coefficients(self):
+        rng = np.random.default_rng(23)
+        plan = make_group_plan(0, range(40), 10, 10, (32, 10), rng)
+        self.assert_same_bytes(mixed_bundle(rng, 10, 10, (32, 10)), plan.lagrange)
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda c: c[:, ::2],
+            lambda c: np.asfortranarray(c),
+            lambda c: c[::-1],
+            lambda c: c.real,
+            lambda c: c.real.copy(),
+            lambda c: c.real.astype(np.float32),
+        ],
+        ids=["strided", "fortran", "reversed", "real-view", "real", "float32"],
+    )
+    def test_coefficients_as_delivered(self, view):
+        # a bus mutation may deliver a non-contiguous or real coefficient array
+        rng = np.random.default_rng(24)
+        lagrange = view(mixed_coeffs(rng, 4, 14))
+        self.assert_same_bytes(mixed_bundle(rng, 3, 1, (5, 4)), lagrange)
 
 
 class TestLocalAggregate:

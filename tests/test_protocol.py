@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from svafd import protocol, threats
+from svafd.coding import Share
 from svafd.filtration import Topology, build_topology, intimacy_list, select_group
 from svafd.protocol import (
     AGGREGATED_SHARE,
@@ -551,6 +552,51 @@ class TestStreamedExport:
             tracemalloc.stop()
         assert len(transcript.messages) > 4 * protocol._EXPORT_CHUNK
         assert peak <= 3 * len(text), peak / len(text)
+
+
+def reference_digest(payload) -> str:
+    h = hashlib.sha256()
+    _reference_feed(h, payload)
+    return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class Pair:
+    left: object
+    right: object = None
+
+
+class TestPayloadDigest:
+    """`payload_digest`, whose walks are built once per class and per dict
+    key layout, hashes the reference walk's byte stream."""
+
+    PAYLOADS = {
+        "share": {"leader": 3, "share": Share(np.arange(4.0).reshape(2, 2) + 1j)},
+        "aggregate": dict(leader=3, payload=np.zeros((2, 2), dtype=complex), contributors=(0, 1, 5)),
+        "numpy scalars": {"leader": np.int64(3), "x": np.float64(0.5), "flag": np.bool_(True), "none": None},
+        "repr key order": {10: "a", 2: np.float32(1.5), 300: [1, 2.5], "10": (), -1: {}},
+        "nested": {"pairs": [Pair(np.eye(2), Pair(3)), Pair((np.ones(3, dtype=np.int32), "s"))], "d": {"x": {}}},
+        "strided and fortran": {"a": np.arange(12.0).reshape(3, 4)[:, ::2], "f": np.asfortranarray(np.ones((2, 3)))},
+        "zero-d and empty": [np.float64(2.0), np.array(2.0), np.zeros((0, 3)), {}, [], ()],
+        "bare array": np.arange(6).reshape(2, 3),
+        "bare scalar": 7,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_matches_reference(self, name):
+        payload = self.PAYLOADS[name]
+        assert protocol.payload_digest(payload) == protocol.payload_digest(payload) == reference_digest(payload)
+
+    def test_equal_keys_that_print_differently(self):
+        # each pair compares equal as dict keys; every dict keeps its own key
+        # bytes, whichever of its pair was digested first
+        payloads = [
+            {1: "v"}, {True: "v"}, {1.0: "v"}, {np.int64(1): "v"}, {0.0: "v"}, {-0.0: "v"},
+            {(1,): "v"}, {(True,): "v"}, {"k": 1}, {np.str_("k"): 1},
+        ]
+        for payload in payloads + payloads[::-1]:
+            assert protocol.payload_digest(payload) == reference_digest(payload)
+        assert len({protocol.payload_digest(p) for p in payloads}) == len(payloads)
 
 
 class TestBundlesDroppedAfterEncode:
