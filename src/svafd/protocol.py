@@ -16,12 +16,12 @@ bus, `run_single_group` and the tests a fresh one over an empty transcript.
 Every party acts only on what it takes: a member on its plan and the shares
 it holds (its share to itself stays local), the server on its roster, the
 aggregates and the signatures, and the leader on its key shares and the
-decoded result. A message names its sender and receiver only on the bus
-envelope, and the party that takes it reads them there; a payload's
-"leader" routes it to its group. Every in-flight attack, built by the
-threats module, enters as a mutation that `MessageBus.send` applies to one
-message before recording it; one that returns `DROP` stops the message, a
-late dropout.
+decoded result. A message names its sender, receiver and group (its leader,
+None for the fingerprint broadcast) only on the bus envelope, where the
+party that takes it reads them; the bus never opens a payload. Every
+in-flight attack, built by the threats module, enters as a mutation that
+`MessageBus.send` applies to one message before recording it; one that
+returns `DROP` stops the message, a late dropout.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
@@ -137,13 +137,14 @@ class Message:
     sender: int
     receiver: int
     payload: object
+    group: int | None  # the leader of the group it belongs to; None for the broadcast
 
 
 @dataclass
 class GroupResult:
     leader: int
     members: tuple
-    live_members: tuple
+    live_members: tuple  # members whose aggregate the server took, in plan order
     verdict: str  # accept | reject | insufficient
     rel_error: float | None = None
     teacher: np.ndarray | None = None
@@ -152,7 +153,7 @@ class GroupResult:
     margin_warning: bool = False  # verification's rounding margin was thin (not exported)
 
 
-_quote = functools.cache(json.dumps)  # JSON text of a message kind or stage name
+_quote = functools.cache(json.dumps)  # JSON text of a message kind, stage name or group
 _EXPORT_CHUNK = 1024  # message lines joined at a time by `export_jsonl`
 
 
@@ -268,8 +269,8 @@ class RoundTranscript:
     topology: filtration.Topology | None = None
 
     def export_jsonl(self) -> str:
-        """One JSON line per message (sorted keys, payload as its SHA-256),
-        then one per group result in leader order.
+        """One JSON line per message (its envelope, kind, stage, seq and
+        payload SHA-256; sorted keys), then one per group result by leader.
 
         The export streams. A message whose payload is the very object of
         the message before it (a group's plan, sent to each member in turn)
@@ -287,8 +288,8 @@ class RoundTranscript:
                 last, digest = m.payload, payload_digest(m.payload)
             # the same bytes as json.dumps(..., sort_keys=True) of the record
             lines.append(
-                f'{{"from": {m.sender}, "kind": {_quote(m.kind)}, "payload_sha256": "{digest}", '
-                f'"seq": {m.seq}, "stage": {_quote(STAGE_OF_KIND[m.kind])}, "to": {m.receiver}}}\n'
+                f'{{"from": {m.sender}, "group": {_quote(m.group)}, "kind": {_quote(m.kind)}, "payload_sha256": '
+                f'"{digest}", "seq": {m.seq}, "stage": {_quote(STAGE_OF_KIND[m.kind])}, "to": {m.receiver}}}\n'
             )
             if len(lines) == _EXPORT_CHUNK:
                 chunks.append("".join(lines))
@@ -322,15 +323,15 @@ class MessageBus:
     of a send, and the transcript export reads its fields but digests only
     its payload, never the record itself.
 
-    Inboxes are indexed by (receiver, kind, leader), where leader is the
-    payload's "leader" entry (None for payloads without one), so `take`
+    Inboxes are indexed by the envelope's (receiver, kind, group), so `take`
     pops exactly one group's messages of one kind without scanning or
-    requeueing anyone else's. Every party takes what it acts on: the
-    fingerprint broadcast is taken once, from `BROADCAST`, and only the
-    member messages addressed to stragglers stay filed.
+    requeueing anyone else's; the bus reads nothing of a payload. Every
+    party takes what it acts on: the fingerprint broadcast is taken once,
+    from `BROADCAST`, and only the member messages addressed to stragglers
+    stay filed.
 
     `mutations` is the one point where an in-flight attack enters: it maps
-    (kind, sender, receiver, leader) to a function that returns the payload
+    (kind, sender, receiver, group) to a function that returns the payload
     to deliver in place of the one sent, or `DROP`. `send` applies it to the
     first message under that key, before recording, so the transcript shows
     what was delivered; a dropped message is neither recorded nor filed, and
@@ -343,24 +344,23 @@ class MessageBus:
         self.mutations: dict[tuple, Callable] = {}
         self._seq = 0
 
-    def send(self, kind: str, sender: int, receiver: int, payload) -> Message | None:
-        leader = payload.get("leader") if isinstance(payload, dict) else None
+    def send(self, kind: str, sender: int, receiver: int, payload, group=None) -> Message | None:
         if self.mutations:
-            mutate = self.mutations.pop((kind, sender, receiver, leader), None)
+            mutate = self.mutations.pop((kind, sender, receiver, group), None)
             if mutate is not None:
                 payload = mutate(payload)
                 if payload is DROP:
                     return None
-        msg = Message(seq=self._seq, kind=kind, sender=sender, receiver=receiver, payload=payload)
+        msg = Message(self._seq, kind, sender, receiver, payload, group)
         self._seq += 1
         self.transcript.messages.append(msg)
-        self.inboxes.setdefault((receiver, kind, leader), []).append(msg)
+        self.inboxes.setdefault((receiver, kind, group), []).append(msg)
         return msg
 
-    def take(self, receiver: int, kind: str, leader=None) -> list[Message]:
+    def take(self, receiver: int, kind: str, group=None) -> list[Message]:
         """Remove and return, in send order, the messages of this kind for
-        this receiver whose payload names this leader."""
-        return self.inboxes.pop((receiver, kind, leader), [])
+        this receiver filed under this group."""
+        return self.inboxes.pop((receiver, kind, group), [])
 
 
 class _Timer:
@@ -502,21 +502,19 @@ def _exchange(group: _Group, bus) -> None:
     aggregate, naming those members as contributors, to the server."""
     cfg, plan, perf = group.cfg, group.plan, group.perf
     leader, send = plan.leader, bus.send
-    distribution = dict(
-        leader=leader, lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members
-    )
+    distribution = dict(lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members)
     for member in plan.members:
-        send(PLAN_DISTRIBUTION, leader, member, distribution)
+        send(PLAN_DISTRIBUTION, leader, member, distribution, group=leader)
     # roster registration: the server learns who maps to which evaluation
     # point, never the weights or the blind
-    roster = dict(leader=leader, members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
-    send(PLAN_DISTRIBUTION, leader, SERVER, roster)
+    roster = dict(members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
+    send(PLAN_DISTRIBUTION, leader, SERVER, roster, group=leader)
     own, plans = {}, {}
     for member in sorted(plan.members):
         if member in group.keys:
-            send(KEY_SHARE, member, leader, {"upsilon": group.keys[member].upsilon})
+            send(KEY_SHARE, member, leader, {"upsilon": group.keys[member].upsilon}, group=leader)
         if member in group.logits_sigs:
-            send(AUX_PROOF, member, SERVER, {"leader": leader, "logits_sigs": group.logits_sigs[member]})
+            send(AUX_PROOF, member, SERVER, {"logits_sigs": group.logits_sigs[member]}, group=leader)
         if member not in group.bundles:
             continue
         [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
@@ -527,8 +525,8 @@ def _exchange(group: _Group, bus) -> None:
             if receiver == member:
                 own[member] = share
             else:
-                send(SHARE, member, receiver, {"leader": leader, "share": share})
-    send(AUX_PROOF, leader, SERVER, {"leader": leader, "weight_sigs": group.weight_sigs})
+                send(SHARE, member, receiver, {"share": share}, group=leader)
+    send(AUX_PROOF, leader, SERVER, {"weight_sigs": group.weight_sigs}, group=leader)
     f_coeffs = coding.monomial(cfg.f_degree)
     for member in sorted(group.live):
         held = {member: own[member]} | {m.sender: m.payload["share"] for m in bus.take(member, SHARE, leader)}
@@ -536,7 +534,7 @@ def _exchange(group: _Group, bus) -> None:
         view = {m: w for m, w in zip(mine["members"], mine["blinded_weights"]) if m in held}
         with perf.timer("follower", "aggregate"):
             agg = coding.local_aggregate([held[m] for m in view], view, f_coeffs)
-        send(AGGREGATED_SHARE, member, SERVER, dict(leader=leader, payload=agg.payload, contributors=tuple(view)))
+        send(AGGREGATED_SHARE, member, SERVER, dict(payload=agg.payload, contributors=tuple(view)), group=leader)
 
 
 def _conclude(group: _Group, bus) -> GroupResult:
@@ -550,7 +548,7 @@ def _conclude(group: _Group, bus) -> GroupResult:
     Fewer aggregates than the interpolation threshold is "insufficient"."""
     cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
     leader = plan.leader
-    key_of = {m.sender: sigcrypto.PrivateKey(m.payload["upsilon"]) for m in bus.take(leader, KEY_SHARE)}
+    key_of = {m.sender: sigcrypto.PrivateKey(m.payload["upsilon"]) for m in bus.take(leader, KEY_SHARE, leader)}
     [roster] = [m.payload for m in bus.take(SERVER, PLAN_DISTRIBUTION, leader)]
     aggregates = bus.take(SERVER, AGGREGATED_SHARE, leader)
     point_of = {m: x for x, m in enumerate(roster["members"])}
@@ -558,7 +556,9 @@ def _conclude(group: _Group, bus) -> GroupResult:
     signatures = bus.take(SERVER, AUX_PROOF, leader)
     logits_sigs = {m.sender: m.payload["logits_sigs"] for m in signatures if "logits_sigs" in m.payload}
     [weight_sigs] = [m.payload["weight_sigs"] for m in signatures if "weight_sigs" in m.payload]
-    result = GroupResult(leader, plan.members, group.live, "insufficient", oracle=group.oracle)
+    took = {m.sender for m in aggregates}
+    live = tuple(m for m in plan.members if m in took)
+    result = GroupResult(leader, plan.members, live, "insufficient", oracle=group.oracle)
     try:
         with perf.timer("server", "decode"):
             nodes = make_nodes(len(roster["members"]), roster["k"], roster["t"], radius=roster["radius"])
@@ -571,9 +571,10 @@ def _conclude(group: _Group, bus) -> GroupResult:
         aux = sigcrypto.AuxProofs({z: logits_sigs[z] for z in contributors}, {z: weight_sigs[z] for z in contributors})
         with perf.timer("server", "proof", count=len(contributors)):
             proof = sigcrypto.aggregate_proof(aux, backend)
-    bus.send(DECODED_RESULT, SERVER, leader, {"decoded": decoded, "proof": proof, "contributors": contributors})
+    reply = dict(decoded=decoded, proof=proof, contributors=contributors)
+    bus.send(DECODED_RESULT, SERVER, leader, reply, group=leader)
 
-    [delivered] = [m.payload for m in bus.take(leader, DECODED_RESULT)]
+    [delivered] = [m.payload for m in bus.take(leader, DECODED_RESULT, leader)]
     result.teacher = coding.deblind_and_join(delivered["decoded"], plan.blind_factor, cfg.grain)
     result.verdict = "accept"
     if backend is not None:
@@ -596,7 +597,8 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     for every non-straggler client. tamper, when given, attacks the group
     of `tamper.leader`: `tamper.mutations(plan, live)` (see the threats
     module) gives its bus mutations, `DROP` included, once that group has
-    prepared. Deterministic in cfg.seed.
+    prepared; one that hit no message raises ValueError once every group has
+    concluded. Deterministic in cfg.seed.
     """
     cfg.validate()
     backend = sigcrypto.get_backend(cfg.backend)
@@ -634,6 +636,8 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
         runs.append(group)
     for group in runs:
         transcript.group_results[group.plan.leader] = _conclude(group, bus)
+    if bus.mutations:
+        raise ValueError(f"bus mutations hit no message: {list(bus.mutations)}")
     return transcript
 
 

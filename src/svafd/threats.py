@@ -146,14 +146,14 @@ class RoundTamper:
     delta: float = 0.0
 
     def mutations(self, plan, live: tuple) -> dict:
-        """This tamper's bus mutation in its group, keyed as
-        `MessageBus.mutations` is. Unspecified targets are the first live
-        members: a share tamper hits live[0]'s share to live[1], a weight
-        tamper skews live[1]'s weight in live[0]'s plan, and a server tamper
-        moves an entry of the first decoded slice. A tamper that would hit no
-        message raises ValueError: a share not sent from one live member to
-        another (a straggler takes none, and a share to oneself stays local),
-        a plan or weight of a member that is not live, and any other kind."""
+        """This tamper's bus mutation, keyed as `MessageBus.mutations` is: (kind,
+        sender, receiver, group), its group being its leader. Unspecified targets
+        are the first live members: a share tamper hits live[0]'s share to live[1],
+        a weight tamper skews live[1]'s weight in live[0]'s plan, and a server
+        tamper moves an entry of the first decoded slice. A tamper that would hit
+        no message raises ValueError: a share not sent from one live member to
+        another (a straggler takes none, and a share to oneself stays local), a
+        plan or weight of a member that is not live, and any other kind."""
         leader, entry, delta = plan.leader, self.entry, self.delta
         where = f"(group {leader}, live {live})"
         first = live[0] if live else None
@@ -180,7 +180,7 @@ class RoundTamper:
                 return _shifted(weights, x, shift)
 
         elif self.kind == "server_tamper":
-            key, name = (DECODED_RESULT, SERVER, leader, None), "decoded"
+            key, name = (DECODED_RESULT, SERVER, leader, leader), "decoded"
 
             def edit(decoded):
                 return [_shifted(decoded[0], entry, delta), *decoded[1:]]

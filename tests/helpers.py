@@ -38,14 +38,16 @@ def lagrange_coeff(nodes, j: int, x: complex) -> complex:
 SERVER_VISIBLE_KINDS = frozenset({PLAN_DISTRIBUTION, AGGREGATED_SHARE, AUX_PROOF})
 
 
-def messages_of(transcript, kind=None, sender=None, receiver=None):
-    """The transcript's messages that match every given field, in order."""
+def messages_of(transcript, kind=None, sender=None, receiver=None, group=None):
+    """The transcript's messages that match every given envelope field, in
+    order."""
     return [
         m
         for m in transcript.messages
         if (kind is None or m.kind == kind)
         and (sender is None or m.sender == sender)
         and (receiver is None or m.receiver == receiver)
+        and (group is None or m.group == group)
     ]
 
 

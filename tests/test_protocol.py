@@ -9,7 +9,7 @@ import pytest
 
 from svafd import protocol, threats
 from svafd.coding import Share
-from svafd.filtration import Topology, build_topology, intimacy_list, select_group
+from svafd.filtration import HashedCal, Topology, build_topology, intimacy_list, select_group
 from svafd.protocol import (
     AGGREGATED_SHARE,
     AUX_PROOF,
@@ -124,22 +124,11 @@ class TestTranscriptInvariants:
     def test_stage_ordering_per_group(self):
         _, transcript = run_small(n=8, r=4)
         for leader in range(8):
-            plan_seqs = [
-                m.seq
-                for m in messages_of(transcript, kind=PLAN_DISTRIBUTION, sender=leader)
-            ]
-            share_seqs = [
-                m.seq
-                for m in transcript.messages
-                if m.kind == SHARE and m.payload["leader"] == leader
-            ]
+            plan_seqs = [m.seq for m in messages_of(transcript, kind=PLAN_DISTRIBUTION, sender=leader)]
+            share_seqs = [m.seq for m in messages_of(transcript, kind=SHARE, group=leader)]
             if share_seqs:
                 assert min(plan_seqs) < min(share_seqs)
-            agg_seqs = [
-                m.seq
-                for m in transcript.messages
-                if m.kind == AGGREGATED_SHARE and m.payload["leader"] == leader
-            ]
+            agg_seqs = [m.seq for m in messages_of(transcript, kind=AGGREGATED_SHARE, group=leader)]
             dec = messages_of(transcript, kind=DECODED_RESULT, receiver=leader)
             assert len(dec) == 1
             assert max(agg_seqs) < dec[0].seq
@@ -328,7 +317,7 @@ def reference_export_jsonl(transcript) -> str:
         h = hashlib.sha256()
         _reference_feed(h, m.payload)
         record = {"seq": m.seq, "stage": STAGE_OF_KIND[m.kind], "kind": m.kind, "from": m.sender, "to": m.receiver,
-                  "payload_sha256": h.hexdigest()}
+                  "group": m.group, "payload_sha256": h.hexdigest()}
         lines.append(json.dumps(record, sort_keys=True))
     for leader in sorted(transcript.group_results):
         res = transcript.group_results[leader]
@@ -379,7 +368,7 @@ class TestRoundHotPath:
         last = transcript.messages[-1]
         transcript.messages.append(
             Message(seq=last.seq + 1, kind="decoded_result", sender=SERVER, receiver=0,
-                    payload={"leader": 0, "note": np.arange(3.0)})
+                    payload={"note": np.arange(3.0)}, group=0)
         )
         second = transcript.export_jsonl()
         assert second == reference_export_jsonl(transcript) != first
@@ -391,21 +380,21 @@ class TestRoundHotPath:
         takes = []
         inner = MessageBus.take
 
-        def recording_take(bus, receiver, kind, leader=None):
-            out = inner(bus, receiver, kind, leader)
-            takes.append((receiver, kind, leader, out))
+        def recording_take(bus, receiver, kind, group=None):
+            out = inner(bus, receiver, kind, group)
+            takes.append((receiver, kind, group, out))
             return out
 
         monkeypatch.setattr(MessageBus, "take", recording_take)
         cfg, transcript = tampered_round(None, n=12, r=6)
         groups = transcript.topology.groups
         assert any(set(groups[a]) & set(groups[b]) for a in groups for b in groups if a < b)
+        exported = [json.loads(line) for line in transcript.export_jsonl().splitlines()[: len(transcript.messages)]]
         taken = {}
-        for receiver, kind, leader, out in takes:
+        for receiver, kind, group, out in takes:
             assert [m.seq for m in out] == sorted(m.seq for m in out)
             for m in out:
-                named = m.payload.get("leader") if isinstance(m.payload, dict) else None
-                assert (m.receiver, m.kind, named) == (receiver, kind, leader)
+                assert (m.receiver, m.kind, m.group, exported[m.seq]["group"]) == (receiver, kind, group, group)
                 taken[m.seq] = taken.get(m.seq, 0) + 1
         routed = transcript.messages
         # a straggler never collects what is addressed to it as a member
@@ -488,14 +477,14 @@ class TestTranscriptBytes:
 
     HONEST = {"straggler_ids": frozenset()}
     ROUNDS = {  # name: (tamper kind, round overrides, SHA-256 of the export)
-        "honest": (None, HONEST, "237354e42a47e25234ff6a11491cbfad9c8510950a1710be536e0ffa34359509"),
-        "stragglers": (None, {}, "89b48d6556b442807875e6040b88879d1230ae656a785b5869029a84056a6b13"),
-        "share_tamper": ("share_tamper", {}, "65011f33d5376be87d2ca1cacf145393240248da6492f2399bd04742202857e9"),
-        "weight_tamper": ("weight_tamper", {}, "ae45a737ef8f4978027e7dafd69061a99311a2c10b98ba7ec2ba6f9d5c017d31"),
-        "server_tamper": ("server_tamper", {}, "2b5ed43a2a03622bba71e6537c92b89ee1486a81104e88edc807769c27d82814"),
+        "honest": (None, HONEST, "6e98d1aa8c358c7714f64ed04baa3d32cdf34aa63df5f1d89c538514ab693611"),
+        "stragglers": (None, {}, "45ca71fda7694465935d958489babdd98a5648796f4b90331ce174f941ccb14d"),
+        "share_tamper": ("share_tamper", {}, "a1606d743cd9291a7bef00406d99b33fe4835333f3017fd801c878d8891a4c69"),
+        "weight_tamper": ("weight_tamper", {}, "59c77303938e3a56b41d02f3bae17a912f16a22b098a1f33e2624da1d0c568e1"),
+        "server_tamper": ("server_tamper", {}, "e71bba0af5bb808035e6911cf7d46a0d38c49c5e525cd46168c3a52dbcc0094f"),
         "sample_grain": (
             None, {**HONEST, "grain": "sample", "omega": 4},
-            "cf6e104cd4deef0779540d373eb67190637e137d4d9162ef6926bc6724d91e55",
+            "40ccba467db6b00583d434b8a9c3e964027f18c431a51fea0a5d17bea282e4b2",
         ),
     }
 
@@ -511,8 +500,8 @@ class TestStreamedExport:
     its lines in chunks; the text is the reference exporter's."""
 
     PAYLOADS = {
-        "A": {"leader": 0, "lagrange": np.arange(6.0).reshape(2, 3) + 1j},
-        "B": {"leader": 0, "lagrange": np.zeros((2, 3), dtype=complex)},
+        "A": {"lagrange": np.arange(6.0).reshape(2, 3) + 1j},
+        "B": {"lagrange": np.zeros((2, 3), dtype=complex)},
     }
 
     @pytest.mark.parametrize("order", ["AA", "ABA", "ABAB"])
@@ -521,7 +510,7 @@ class TestStreamedExport:
         transcript = protocol.RoundTranscript()
         bus = MessageBus(transcript)
         for member, name in enumerate(order):
-            bus.send(PLAN_DISTRIBUTION, 0, member + 1, self.PAYLOADS[name])
+            bus.send(PLAN_DISTRIBUTION, 0, member + 1, self.PAYLOADS[name], group=0)
         text = transcript.export_jsonl()
         assert text == reference_export_jsonl(transcript)
         digests = [json.loads(line)["payload_sha256"] for line in text.splitlines()]
@@ -571,8 +560,8 @@ class TestPayloadDigest:
     key layout, hashes the reference walk's byte stream."""
 
     PAYLOADS = {
-        "share": {"leader": 3, "share": Share(np.arange(4.0).reshape(2, 2) + 1j)},
-        "aggregate": dict(leader=3, payload=np.zeros((2, 2), dtype=complex), contributors=(0, 1, 5)),
+        "share": {"share": Share(np.arange(4.0).reshape(2, 2) + 1j)},
+        "aggregate": dict(payload=np.zeros((2, 2), dtype=complex), contributors=(0, 1, 5)),
         "numpy scalars": {"leader": np.int64(3), "x": np.float64(0.5), "flag": np.bool_(True), "none": None},
         "repr key order": {10: "a", 2: np.float32(1.5), 300: [1, 2.5], "10": (), -1: {}},
         "nested": {"pairs": [Pair(np.eye(2), Pair(3)), Pair((np.ones(3, dtype=np.int32), "s"))], "d": {"x": {}}},
@@ -745,7 +734,7 @@ class TestBusMutation:
         return (AGGREGATED_SHARE, member, SERVER, self.LEADER), mutate
 
     def shift_key(self, member):
-        return (KEY_SHARE, member, self.LEADER, None), lambda payload: {"upsilon": payload["upsilon"] + 1}
+        return (KEY_SHARE, member, self.LEADER, self.LEADER), lambda payload: {"upsilon": payload["upsilon"] + 1}
 
     def shift_lagrange(self, member):
         # the member encodes under the coefficients of the plan it took
@@ -879,7 +868,7 @@ class TestOneMessageInGroupFive:
                 decoded[1][0, 0] -= 5
                 return {**payload, "decoded": decoded}
 
-            return {(DECODED_RESULT, SERVER, plan.leader, None): forge}
+            return {(DECODED_RESULT, SERVER, plan.leader, plan.leader): forge}
 
         transcript = self.run(build, d=4, omega=3, grain="sample")
         assert transcript.group_results[self.LEADER].verdict == "reject"
@@ -907,17 +896,23 @@ class TestLateDropout:
     def test_dropped_message_is_neither_recorded_nor_filed(self):
         bus = MessageBus(protocol.RoundTranscript())
         bus.mutations[(SHARE, 0, 1, 7)] = lambda payload: protocol.DROP
-        assert bus.send(SHARE, 0, 1, {"leader": 7}) is None
+        assert bus.send(SHARE, 0, 1, {}, group=7) is None
         assert bus.transcript.messages == [] and bus.inboxes == {} and bus.mutations == {}
-        assert bus.send(SHARE, 0, 1, {"leader": 7}).seq == 0
+        assert bus.send(SHARE, 0, 1, {}, group=7).seq == 0
 
     def test_one_lost_aggregate_still_decodes(self):
         honest, transcript = self.run(0), self.run(1)
         res = transcript.group_results[self.LEADER]
         assert res.verdict == "accept" and res.rel_error <= 1e-6
         assert len(transcript.messages) == len(honest.messages) - 1
-        sent = [m.sender for m in messages_of(transcript, kind=AGGREGATED_SHARE) if m.payload["leader"] == self.LEADER]
-        assert sent == sorted(res.live_members[1:])  # members aggregate in id order
+        sent = [m.sender for m in messages_of(transcript, kind=AGGREGATED_SHARE, group=self.LEADER)]
+        assert sent == sorted(res.live_members)  # members aggregate in id order
+        # the exported group result lists the members whose aggregate the server took
+        dropped, *rest = honest.group_results[self.LEADER].live_members
+        results = [json.loads(line) for line in transcript.export_jsonl().splitlines()[len(transcript.messages):]]
+        [exported] = [line for line in results if line["leader"] == self.LEADER]
+        assert exported["live_members"] == rest == list(res.live_members)
+        assert dropped not in exported["live_members"]
 
     def test_two_lost_aggregates_are_insufficient(self):
         transcript = self.run(2)
@@ -932,6 +927,42 @@ class TestLateDropout:
                 got = transcript.group_results[leader]
                 assert (got.verdict, got.rel_error) == (res.verdict, res.rel_error), leader
                 assert got.teacher.tobytes() == res.teacher.tobytes(), leader
+
+
+class TestEnvelopeRouting:
+    """The bus files and mutates a message under its envelope's group and
+    reads nothing of its payload; a mutation that hits no message makes
+    `run_round` raise."""
+
+    PAYLOADS = {
+        "dict naming another leader": (SHARE, 1, {"leader": 3, "share": Share(np.ones((2, 2), dtype=complex))}),
+        "array": (SHARE, 1, np.arange(4.0)),
+        "fingerprint": (HASHED_CAL, BROADCAST, HashedCal(np.ones((3, 2)), np.ones(3, dtype=bool))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_filed_and_mutated_under_the_envelope_group(self, name):
+        kind, receiver, payload = self.PAYLOADS[name]
+        bus = MessageBus(protocol.RoundTranscript())
+        forged = np.zeros(2)
+        bus.mutations[(kind, 0, receiver, 7)] = lambda sent: forged
+        first, second = (bus.send(kind, 0, receiver, payload, group=7) for _ in range(2))
+        assert first.payload is forged and second.payload is payload and bus.mutations == {}
+        assert bus.take(receiver, kind, 3) == [] and bus.take(receiver, kind) == []
+        assert [m.seq for m in bus.take(receiver, kind, 7)] == [0, 1] and bus.inboxes == {}
+        exported = [json.loads(line) for line in bus.transcript.export_jsonl().splitlines()]
+        assert [(m.group, line["group"]) for m, line in zip(bus.transcript.messages, exported)] == [(7, 7)] * 2
+
+    @pytest.mark.parametrize("key", [
+        lambda plan, live: (DECODED_RESULT, SERVER, plan.leader, None),  # the group left off
+        lambda plan, live: (SHARE, live[0], live[0], plan.leader),  # a share to oneself stays local
+    ])
+    def test_mutation_that_hits_no_message_raises(self, key):
+        cfg, hit = small_cfg(), []
+        adversary = Adversary(2, lambda plan, live: {key(plan, live): lambda payload: hit.append(payload)})
+        with pytest.raises(ValueError, match="hit no message"):
+            run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=adversary)
+        assert hit == []
 
 
 class TestTamperHitsAMessage:
