@@ -18,7 +18,11 @@ it holds (its share to itself stays local), the server on its roster, the
 aggregates and the signatures, and the leader on its key shares and the
 decoded result. A message names its sender, receiver and group (its leader,
 None for the fingerprint broadcast) only on the bus envelope, where the
-party that takes it reads them; the bus never opens a payload. Every
+party that takes it reads them; the bus never opens a payload. A message
+that carries one value carries it bare: a SHARE is the complex share array,
+a KEY_SHARE the int upsilon, a member's AUX_PROOF its k-tuple of slice
+signatures and the leader's its dict of weight signatures, which the server
+tells apart by the bus sender. Every
 in-flight attack, built by the threats module, enters as a mutation that
 `MessageBus.send` applies to one message before recording it; one that
 returns `DROP` stops the message, a late dropout.
@@ -161,12 +165,8 @@ _EXPORT_CHUNK = 1024  # message lines joined at a time by `export_jsonl`
 # dtype and shape as text, then its C-order buffer; a dict "D", then each key
 # and its value, keys in repr order; a list or tuple "L" and its items; a
 # dataclass its class name and its fields in order; anything else its repr.
-# A walk appends the small pieces to `parts`, which go to the hash joined,
+# The walk appends the small pieces to `parts`, which go to the hash joined,
 # once before each array buffer and once at the end.
-
-
-def _walk_repr(obj, parts, h):
-    parts.append(repr(obj).encode())
 
 
 @functools.lru_cache(maxsize=256)
@@ -174,88 +174,34 @@ def _array_header(dtype, shape) -> bytes:
     return b"A" + str(dtype).encode() + str(shape).encode()
 
 
-def _walk_array(obj, parts, h):
-    parts.append(_array_header(obj.dtype, obj.shape))
-    h.update(b"".join(parts))
-    parts.clear()
-    h.update(np.ascontiguousarray(obj))  # the buffer itself, not a bytes copy
-
-
-def _walk_list(obj, parts, h):
-    parts.append(b"L")
-    for item in obj:
-        _WALKS[type(item)](item, parts, h)
-
-
-def _dict_steps(keys) -> tuple:
-    """(the bytes of the key, the key), in the order the digest takes them."""
-    steps = []
-    for key in sorted(keys, key=repr):
-        parts = []
-        _WALKS[type(key)](key, parts, None)  # a hashable key holds no array
-        steps.append((b"".join(parts), key))
-    return tuple(steps)
-
-
-# key types whose equal values print alike (1 == 1.0 and -0.0 == 0.0 do not)
-_CACHED_KEY_TYPES = frozenset({str, int, bool, type(None)}) | {
-    np.dtype(code).type for code in np.typecodes["AllInteger"]
-}
-
-
-@functools.lru_cache(maxsize=64, typed=True)  # typed: keyed on each key's type too
-def _cached_dict_steps(*keys) -> tuple | None:
-    """A dict's steps, built once per key layout; None where equal keys of
-    these types might print differently."""
-    if not _CACHED_KEY_TYPES.issuperset(map(type, keys)):
-        return None
-    return _dict_steps(keys)
-
-
-def _walk_dict(obj, parts, h):
-    parts.append(b"D")
-    for key_bytes, key in _cached_dict_steps(*obj) or _dict_steps(obj):
-        parts.append(key_bytes)
-        value = obj[key]
-        _WALKS[type(value)](value, parts, h)
-
-
-def _dataclass_walk(cls):
-    name, names = cls.__name__.encode(), tuple(f.name for f in fields(cls))
-
-    def walk(obj, parts, h):
-        parts.append(name)
-        for f in names:
-            value = getattr(obj, f)
-            _WALKS[type(value)](value, parts, h)
-
-    return walk
-
-
-class _Walks(dict):
-    """The walk for each class, built on its first payload."""
-
-    def __missing__(self, cls):
-        if issubclass(cls, np.ndarray):
-            walk = _walk_array
-        elif issubclass(cls, dict):
-            walk = _walk_dict
-        elif issubclass(cls, (list, tuple)):
-            walk = _walk_list
-        elif hasattr(cls, "__dataclass_fields__"):
-            walk = _dataclass_walk(cls)
-        else:
-            walk = _walk_repr
-        self[cls] = walk
-        return walk
-
-
-_WALKS = _Walks()
+def _walk(obj, parts, h):
+    if isinstance(obj, np.ndarray):
+        parts.append(_array_header(obj.dtype, obj.shape))
+        h.update(b"".join(parts))
+        parts.clear()
+        h.update(np.ascontiguousarray(obj))  # the buffer itself, not a bytes copy
+    elif isinstance(obj, dict):
+        parts.append(b"D")
+        for key in sorted(obj, key=repr):
+            _walk(key, parts, h)
+            _walk(obj[key], parts, h)
+    elif isinstance(obj, (list, tuple)):
+        parts.append(b"L")
+        for item in obj:
+            _walk(item, parts, h)
+    elif hasattr(obj, "__dataclass_fields__"):
+        parts.append(type(obj).__name__.encode())
+        for f in fields(obj):
+            _walk(getattr(obj, f.name), parts, h)
+    else:
+        parts.append(repr(obj).encode())
 
 
 def payload_digest(payload) -> str:
+    """The hex SHA-256 of the payload's byte stream (see above), fed by one
+    plain walk; the only cache is an array's header per (dtype, shape)."""
     h, parts = hashlib.sha256(), []
-    _WALKS[type(payload)](payload, parts, h)
+    _walk(payload, parts, h)
     h.update(b"".join(parts))
     return h.hexdigest()
 
@@ -270,7 +216,7 @@ class RoundTranscript:
 
     def export_jsonl(self) -> str:
         """One JSON line per message (its envelope, kind, stage, seq and
-        payload SHA-256; sorted keys), then one per group result by leader.
+        `payload_digest`; sorted keys), then one per group result by leader.
 
         The export streams. A message whose payload is the very object of
         the message before it (a group's plan, sent to each member in turn)
@@ -457,8 +403,12 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
 
     inputs(member) returns (raw logits, member rng). Keys come from keys,
     which maps every member to its key, or are drawn from each live member's
-    rng after blinding when keys is None.
+    rng after blinding when keys is None. A roster that seats its leader is
+    a ValueError, raised before anything is drawn: the server tells the
+    leader's signatures from the members' by the bus sender.
     """
+    if leader in roster:
+        raise ValueError(f"leader {leader} is seated in its own roster")
     with perf.timer("leader", "preprocess"):
         plan = coding.make_group_plan(
             leader, roster, cfg.k, cfg.t, cfg.tensor_shape(), rng, radius=cfg.radius, q=cfg.q, weights=weights
@@ -512,9 +462,9 @@ def _exchange(group: _Group, bus) -> None:
     own, plans = {}, {}
     for member in sorted(plan.members):
         if member in group.keys:
-            send(KEY_SHARE, member, leader, {"upsilon": group.keys[member].upsilon}, group=leader)
+            send(KEY_SHARE, member, leader, group.keys[member].upsilon, group=leader)
         if member in group.logits_sigs:
-            send(AUX_PROOF, member, SERVER, {"logits_sigs": group.logits_sigs[member]}, group=leader)
+            send(AUX_PROOF, member, SERVER, group.logits_sigs[member], group=leader)
         if member not in group.bundles:
             continue
         [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
@@ -525,11 +475,11 @@ def _exchange(group: _Group, bus) -> None:
             if receiver == member:
                 own[member] = share
             else:
-                send(SHARE, member, receiver, {"share": share}, group=leader)
-    send(AUX_PROOF, leader, SERVER, {"weight_sigs": group.weight_sigs}, group=leader)
+                send(SHARE, member, receiver, share.payload, group=leader)
+    send(AUX_PROOF, leader, SERVER, group.weight_sigs, group=leader)
     f_coeffs = coding.monomial(cfg.f_degree)
     for member in sorted(group.live):
-        held = {member: own[member]} | {m.sender: m.payload["share"] for m in bus.take(member, SHARE, leader)}
+        held = {member: own[member]} | {m.sender: coding.Share(m.payload) for m in bus.take(member, SHARE, leader)}
         mine = plans[member]
         view = {m: w for m, w in zip(mine["members"], mine["blinded_weights"]) if m in held}
         with perf.timer("follower", "aggregate"):
@@ -548,14 +498,14 @@ def _conclude(group: _Group, bus) -> GroupResult:
     Fewer aggregates than the interpolation threshold is "insufficient"."""
     cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
     leader = plan.leader
-    key_of = {m.sender: sigcrypto.PrivateKey(m.payload["upsilon"]) for m in bus.take(leader, KEY_SHARE, leader)}
+    key_of = {m.sender: sigcrypto.PrivateKey(m.payload) for m in bus.take(leader, KEY_SHARE, leader)}
     [roster] = [m.payload for m in bus.take(SERVER, PLAN_DISTRIBUTION, leader)]
     aggregates = bus.take(SERVER, AGGREGATED_SHARE, leader)
     point_of = {m: x for x, m in enumerate(roster["members"])}
     points = [(point_of[m.sender], m.payload["payload"]) for m in aggregates]
     signatures = bus.take(SERVER, AUX_PROOF, leader)
-    logits_sigs = {m.sender: m.payload["logits_sigs"] for m in signatures if "logits_sigs" in m.payload}
-    [weight_sigs] = [m.payload["weight_sigs"] for m in signatures if "weight_sigs" in m.payload]
+    logits_sigs = {m.sender: m.payload for m in signatures if m.sender != leader}
+    [weight_sigs] = [m.payload for m in signatures if m.sender == leader]
     took = {m.sender for m in aggregates}
     live = tuple(m for m in plan.members if m in took)
     result = GroupResult(leader, plan.members, live, "insufficient", oracle=group.oracle)

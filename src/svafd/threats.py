@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import Share
 from .filtration import Topology
 from .protocol import DECODED_RESULT, PLAN_DISTRIBUTION, SERVER, SHARE
 
@@ -150,7 +149,12 @@ class RoundTamper:
         sender, receiver, group), its group being its leader. Unspecified targets
         are the first live members: a share tamper hits live[0]'s share to live[1],
         a weight tamper skews live[1]'s weight in live[0]'s plan, and a server
-        tamper moves an entry of the first decoded slice. A tamper that would hit
+        tamper moves an entry of the first decoded slice. Each mutation edits a
+        copy, never the payload sent: the share tamper delivers the bare share
+        array with `entry` moved by `delta`; the weight tamper delivers the plan
+        with the target's row of "blinded_weights" moved by `delta` times the
+        blind factor; the server tamper delivers the reply with `entry` of the
+        first array in "decoded" moved by `delta`. A tamper that would hit
         no message raises ValueError: a share not sent from one live member to
         another (a straggler takes none, and a share to oneself stays local), a
         plan or weight of a member that is not live, and any other kind."""
@@ -163,31 +167,32 @@ class RoundTamper:
             receiver = second if self.member is None else self.member
             if sender not in live or receiver not in live or sender == receiver:
                 raise ValueError(f"share tamper {sender} -> {receiver} hits no message {where}")
-            key, name = (SHARE, sender, receiver, leader), "share"
+            key = (SHARE, sender, receiver, leader)
 
-            def edit(share):
-                return Share(_shifted(share.payload, entry, delta))
+            def mutate(share):
+                return _shifted(share, entry, delta)
 
         elif self.kind == "weight_tamper":
             member = first if self.member is None else self.member
             target = second if self.sender is None else self.sender
             if member not in live or target not in live:
                 raise ValueError(f"weight tamper on {target}'s weight in {member}'s plan hits no message {where}")
-            key, name = (PLAN_DISTRIBUTION, leader, member, leader), "blinded_weights"
+            key = (PLAN_DISTRIBUTION, leader, member, leader)
             x, shift = plan.members.index(target), delta * plan.blind_factor
 
-            def edit(weights):
-                return _shifted(weights, x, shift)
+            def mutate(distribution):
+                return {**distribution, "blinded_weights": _shifted(distribution["blinded_weights"], x, shift)}
 
         elif self.kind == "server_tamper":
-            key, name = (DECODED_RESULT, SERVER, leader, leader), "decoded"
+            key = (DECODED_RESULT, SERVER, leader, leader)
 
-            def edit(decoded):
-                return [_shifted(decoded[0], entry, delta), *decoded[1:]]
+            def mutate(reply):
+                decoded = reply["decoded"]
+                return {**reply, "decoded": [_shifted(decoded[0], entry, delta), *decoded[1:]]}
 
         else:
             raise ValueError(f"tamper kind {self.kind!r} hits no message (group {leader})")
-        return {key: lambda payload: {**payload, name: edit(payload[name])}}
+        return {key: mutate}
 
 
 def inject_tamper(spec: AttackSpec, leader: int) -> RoundTamper:

@@ -29,6 +29,7 @@ from svafd.protocol import (
     run_round,
     run_single_group,
 )
+from svafd.sigcrypto import get_backend
 from svafd.workload import workload_provider
 
 from helpers import (
@@ -244,6 +245,21 @@ class TestConfigValidation:
 
         with pytest.raises(ValueError):
             run_single_group(8, 2, 1, grain="class", d=4, f_degree=2, backend=MockBackend())
+
+
+class TestPreparation:
+    def test_roster_that_seats_its_leader_refused(self):
+        cfg = small_cfg(n=6, r=4)
+        rng = np.random.default_rng(0)
+        state, asked = rng.bit_generator.state, []
+
+        def inputs(member):
+            asked.append(member)
+            return rng.uniform(-1, 1, cfg.logits_shape()), rng
+
+        with pytest.raises(ValueError, match="leader 2 is seated"):
+            protocol._prepare(cfg, 2, range(4), rng, inputs, None, PerfRecorder())
+        assert rng.bit_generator.state == state and asked == []
 
 
 class TestMembershipUpdate:
@@ -469,6 +485,32 @@ class TestTimerRecordsOnRaise:
         assert all(s >= 0.0 for s in rec.samples[("server", "decode")])
 
 
+class TestPayloadLayouts:
+    """Each message carries its one value: no payload wraps it in a
+    one-entry dict, and the server tells the leader's signatures from the
+    members' by the bus sender."""
+
+    def test_honest_round(self):
+        cfg, transcript = run_small()
+        assert {m.kind for m in transcript.messages} == set(STAGE_OF_KIND)
+        for m in transcript.messages:
+            assert not (isinstance(m.payload, dict) and len(m.payload) == 1), m
+        for m in messages_of(transcript, kind=SHARE):
+            assert isinstance(m.payload, np.ndarray) and np.iscomplexobj(m.payload)
+            assert m.payload.shape == cfg.tensor_shape()
+        for m in messages_of(transcript, kind=KEY_SHARE):
+            assert type(m.payload) is int
+        for leader, members in transcript.topology.groups.items():
+            live = transcript.group_results[leader].live_members
+            assert sorted(live) == sorted(members)
+            sent = messages_of(transcript, kind=AUX_PROOF, group=leader)
+            [weights] = [m.payload for m in sent if m.sender == leader]
+            assert isinstance(weights, dict) and sorted(weights) == sorted(members)
+            slices = {m.sender: m.payload for m in sent if m.sender != leader}
+            assert len(slices) == len(sent) - 1 and sorted(slices) == sorted(live)
+            assert all(isinstance(sigs, tuple) and len(sigs) == cfg.k for sigs in slices.values())
+
+
 class TestTranscriptBytes:
     """The SHA-256 of `export_jsonl` on seeded mock rounds (n=10, r=4, k=2,
     t=1, seed 1; tampers aimed at group 4 with stragglers 2 and 7). A change
@@ -477,14 +519,14 @@ class TestTranscriptBytes:
 
     HONEST = {"straggler_ids": frozenset()}
     ROUNDS = {  # name: (tamper kind, round overrides, SHA-256 of the export)
-        "honest": (None, HONEST, "6e98d1aa8c358c7714f64ed04baa3d32cdf34aa63df5f1d89c538514ab693611"),
-        "stragglers": (None, {}, "45ca71fda7694465935d958489babdd98a5648796f4b90331ce174f941ccb14d"),
-        "share_tamper": ("share_tamper", {}, "a1606d743cd9291a7bef00406d99b33fe4835333f3017fd801c878d8891a4c69"),
-        "weight_tamper": ("weight_tamper", {}, "59c77303938e3a56b41d02f3bae17a912f16a22b098a1f33e2624da1d0c568e1"),
-        "server_tamper": ("server_tamper", {}, "e71bba0af5bb808035e6911cf7d46a0d38c49c5e525cd46168c3a52dbcc0094f"),
+        "honest": (None, HONEST, "c90ad7c40cba5cc71d717a03ffcb085e60188d9b1be836cbc1fcce727811cb29"),
+        "stragglers": (None, {}, "e694af08e555b2543388cdffa3e7d91a553d9aa8949e4b1956135e1190b038f7"),
+        "share_tamper": ("share_tamper", {}, "5a08f1d1375b3601f1cfec4b8fbf4bcb238ce979cb5fda5c0a8fc32d87db2f32"),
+        "weight_tamper": ("weight_tamper", {}, "c1dcaad5f32979d9cf7de2777eb1064441b905af7b2170a44a1adcbd691e47d4"),
+        "server_tamper": ("server_tamper", {}, "fcd534c9607eb949581f1f25dcc4962cd6d18383cb1e000bafb298bd03208c49"),
         "sample_grain": (
             None, {**HONEST, "grain": "sample", "omega": 4},
-            "40ccba467db6b00583d434b8a9c3e964027f18c431a51fea0a5d17bea282e4b2",
+            "efce92df1c81c149fc948f0bcfcc70fd1c518887f354990cfaadcb18bbfed0bc",
         ),
     }
 
@@ -493,6 +535,39 @@ class TestTranscriptBytes:
         kind, overrides, want = self.ROUNDS[name]
         _, transcript = tampered_round(kind, **overrides)
         assert hashlib.sha256(transcript.export_jsonl().encode()).hexdigest() == want
+
+
+class TestSignedSingleGroupPinned:
+    """Teacher SHA-256, verdict, `repr(rel_error)` and probe distance of
+    signed `run_single_group` cells, whose key shares and signatures cross
+    a fresh bus. A change that keeps the group's results keeps every
+    value."""
+
+    CELLS = {  # name: (backend, (r, k, t), group params, (teacher SHA-256, verdict, repr(rel_error), probe))
+        "mock class": ("mock", (6, 2, 1), dict(grain="class", d=4, seed=1), (
+            "4d88b0c4013a27c45856d58f1735115fded8e0aeaa01912bf0907e9ec116c2a0",
+            "accept", "2.257955605268708e-14", None,
+        )),
+        "mock sample": ("mock", (7, 3, 2), dict(grain="sample", d=5, omega=3, seed=2), (
+            "873936fd9c9b33c968b189d12c95fc03a02411031c73eca63248c22988442a78",
+            "accept", "6.7943887397476795e-15", None,
+        )),
+        "pairing class": ("pairing", (4, 2, 1), dict(grain="class", d=4, seed=3), (
+            "98b2e556ac1462407fde703a423340d1c6f081e002008582ba4ae1e58058cd7e",
+            "accept", "2.6863215139916567e-14", None,
+        )),
+        "pairing sample": ("pairing", (5, 2, 2), dict(grain="sample", d=3, omega=2, seed=4), (
+            "f96031918a7c4bc105941ad17ba2f313375f236fa25e8f94aadb6222ba70c1fc",
+            "accept", "7.139001841191759e-15", None,
+        )),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_results_pinned(self, name):
+        backend, (r, k, t), params, want = self.CELLS[name]
+        res = run_single_group(r, k, t, backend=get_backend(backend), **params)
+        got = (hashlib.sha256(res.teacher.tobytes()).hexdigest(), res.verdict, repr(res.rel_error), res.probe_distance)
+        assert got == want
 
 
 class TestStreamedExport:
@@ -555,12 +630,19 @@ class Pair:
     right: object = None
 
 
+POINTS = [get_backend("pairing").g_pow(e) for e in (3, 5, 7)]  # affine (x, y) pairs of field ints
+
+
 class TestPayloadDigest:
-    """`payload_digest`, whose walks are built once per class and per dict
-    key layout, hashes the reference walk's byte stream."""
+    """`payload_digest`, one plain recursive walk, hashes the reference
+    walk's byte stream, on the engine's payload layouts and others."""
 
     PAYLOADS = {
         "share": {"share": Share(np.arange(4.0).reshape(2, 2) + 1j)},
+        "share array": np.arange(12.0).reshape(4, 3) * (1 - 2j),  # a SHARE: one (omega, d) complex slice
+        "key share": 2**200 + 12345,  # a KEY_SHARE: the int upsilon
+        "slice signatures": (POINTS[0], None, POINTS[1]),  # a member's AUX_PROOF; None is the identity
+        "weight signatures": {4: POINTS[2], 0: POINTS[0], 11: None},  # the leader's AUX_PROOF
         "aggregate": dict(payload=np.zeros((2, 2), dtype=complex), contributors=(0, 1, 5)),
         "numpy scalars": {"leader": np.int64(3), "x": np.float64(0.5), "flag": np.bool_(True), "none": None},
         "repr key order": {10: "a", 2: np.float32(1.5), 300: [1, 2.5], "10": (), -1: {}},
@@ -734,7 +816,7 @@ class TestBusMutation:
         return (AGGREGATED_SHARE, member, SERVER, self.LEADER), mutate
 
     def shift_key(self, member):
-        return (KEY_SHARE, member, self.LEADER, self.LEADER), lambda payload: {"upsilon": payload["upsilon"] + 1}
+        return (KEY_SHARE, member, self.LEADER, self.LEADER), lambda upsilon: upsilon + 1
 
     def shift_lagrange(self, member):
         # the member encodes under the coefficients of the plan it took

@@ -268,9 +268,10 @@ class TestProofFolding:
 
 
 def honest_group_run(seed, r, k, t, grain="class", d=5, omega=4, q=3, backend=MOCK, sigma=50.0, weights=None):
-    """Full pipeline incl. signatures; returns everything verify needs."""
+    """Full pipeline incl. signatures, members 0..r-1 led by r; returns
+    everything verify needs."""
     cfg = RoundConfig(n=r, r=r, k=k, t=t, q=q, sigma=sigma, grain=grain, d=d, omega=omega)
-    group, bus = exchanged_group(np.random.default_rng(seed), 0, cfg, -8, 8, backend, weights)
+    group, bus = exchanged_group(np.random.default_rng(seed), r, cfg, -8, 8, backend, weights)
     teacher = _conclude(group, bus).teacher
     [decoded] = messages_of(bus.transcript, kind=DECODED_RESULT)
     return decoded.payload["proof"], teacher, list(group.weight_ints.values()), [group.keys[z] for z in range(r)], k, q
