@@ -537,6 +537,39 @@ class TestTranscriptBytes:
         assert hashlib.sha256(transcript.export_jsonl().encode()).hexdigest() == want
 
 
+class TestRoundResultsPinned:
+    """The SHA-256 of every group's result in the `TestTranscriptBytes`
+    rounds: one JSON line per group, by leader, of its leader, verdict,
+    teacher-bytes SHA-256, `repr(rel_error)`, probe distance and live
+    members. A change that moves what crosses the bus but keeps each
+    group's results keeps every value."""
+
+    RESULTS = {  # name: SHA-256 of the group results
+        "honest": "f37263aeff94dccf4ca9b1f5c669bd404a7ccd626f807bf8bf4fb9f5c86fde44",
+        "stragglers": "1c5f3ec7e872e97ffffa1e1e9cb822818849b053231904f05d9501dc9bcc4efd",
+        "share_tamper": "2866e2eed58b8d917dc7c116badb787876707e7890cbc3a65c2a48d577eb6c5d",
+        "weight_tamper": "03e4bea24b21ad0554eb1cf344d4927852028cc3b1150bd30a4284546f4d359e",
+        "server_tamper": "3602260e84aeb6c0e3109010b3f3b83b1f07c46847de2ad2563df1500c485c3c",
+        "sample_grain": "8700809cb5640e6ec474a75b3baf8c6086d6a3d95a9ad844afc641eb9c4970db",
+    }
+
+    @staticmethod
+    def results_sha256(transcript):
+        h = hashlib.sha256()
+        for leader in sorted(transcript.group_results):
+            res = transcript.group_results[leader]
+            teacher = None if res.teacher is None else hashlib.sha256(res.teacher.tobytes()).hexdigest()
+            line = [leader, res.verdict, teacher, repr(res.rel_error), res.probe_distance, list(res.live_members)]
+            h.update((json.dumps(line) + "\n").encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(RESULTS))
+    def test_group_results_pinned(self, name):
+        kind, overrides, _ = TestTranscriptBytes.ROUNDS[name]
+        _, transcript = tampered_round(kind, **overrides)
+        assert self.results_sha256(transcript) == self.RESULTS[name]
+
+
 class TestSignedSingleGroupPinned:
     """Teacher SHA-256, verdict, `repr(rel_error)` and probe distance of
     signed `run_single_group` cells, whose key shares and signatures cross
