@@ -20,17 +20,18 @@ decoded result. A message names its sender, receiver and group (its leader,
 None for the fingerprint broadcast) only on the bus envelope, where the
 party that takes it reads them; the bus never opens a payload. A message
 that carries one value carries it bare: a SHARE is the complex share array,
-a KEY_SHARE the int upsilon, a member's AUX_PROOF its k-tuple of slice
-signatures and the leader's its dict of weight signatures, which the server
-tells apart by the bus sender. Every
-in-flight attack, built by the threats module, enters as a mutation that
-`MessageBus.send` applies to one message before recording it; one that
+a KEY_SHARE the int key, a member's AUX_PROOF its k-tuple of slice
+signatures, the leader's its dict of weight signatures, which the server
+tells apart by the bus sender, and DECODED_RESULT's proof the target-group
+element. An unsigned group (no backend) sends no KEY_SHARE and no AUX_PROOF.
+Every in-flight attack, built by the threats module, enters as a mutation
+that `MessageBus.send` applies to one message before recording it; one that
 returns `DROP` stops the message, a late dropout.
 
 The bus delivers in a deterministic order: given equal configs and seeds,
 two runs produce byte-identical transcripts. Declared stragglers send no
-shares and no aggregates and take nothing as members, so after a round only
-the member messages addressed to stragglers stay filed.
+group message and take nothing as members, so after a round only the
+member messages addressed to stragglers stay filed.
 """
 
 from __future__ import annotations
@@ -391,8 +392,8 @@ class _Group:
     weight_sigs: dict | None
     bundles: dict = field(default_factory=dict)  # live member -> blinded SplitBundle, until it encodes
     oracle: np.ndarray | None = None  # plaintext reference teacher, fixed once every live member has prepared
-    keys: dict = field(default_factory=dict)  # member -> PrivateKey
-    logits_sigs: dict = field(default_factory=dict)
+    keys: dict = field(default_factory=dict)  # live member -> its int key, in a signed group
+    logits_sigs: dict = field(default_factory=dict)  # live member -> its k slice signatures
 
 
 def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weights=None) -> _Group:
@@ -401,11 +402,11 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
     Once all have, the plaintext oracle is fixed from their bundles, which
     `_exchange` then drops one by one as each member encodes.
 
-    inputs(member) returns (raw logits, member rng). Keys come from keys,
-    which maps every member to its key, or are drawn from each live member's
-    rng after blinding when keys is None. A roster that seats its leader is
-    a ValueError, raised before anything is drawn: the server tells the
-    leader's signatures from the members' by the bus sender.
+    inputs(member) returns (raw logits, member rng). In a signed group each
+    live member's key is keys[member], or is drawn from its rng after
+    blinding when keys is None; a straggler keeps no key. A roster that
+    seats its leader is a ValueError, raised before anything is drawn: the
+    server tells the leader's signatures from the members' by the bus sender.
     """
     if leader in roster:
         raise ValueError(f"leader {leader} is seated in its own roster")
@@ -419,7 +420,7 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
     if backend is not None:
         with perf.timer("leader", "auxiliary", count=len(plan.members)):
             weight_sigs = dict(zip(plan.members, sigcrypto.sign_weights(list(weight_ints.values()), backend)))
-    group = _Group(cfg, plan, live, backend, perf, weight_ints, weight_sigs, keys=keys or {})
+    group = _Group(cfg, plan, live, backend, perf, weight_ints, weight_sigs)
     for member in sorted(live):
         raw, member_rng = inputs(member)
         with perf.timer("follower", "preprocess"):
@@ -428,8 +429,7 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
             bundle = coding.blind(bundle, cfg.t, cfg.sigma, cfg.theta, member_rng)
         group.bundles[member] = bundle
         if backend is not None:
-            if keys is None:
-                group.keys[member] = sigcrypto.gen_key(backend, member_rng)
+            group.keys[member] = sigcrypto.gen_key(backend, member_rng) if keys is None else keys[member]
             with perf.timer("follower", "auxiliary", count=cfg.k):
                 group.logits_sigs[member] = tuple(
                     sigcrypto.sign_logits(sigcrypto.digest(bundle), group.keys[member], cfg.q, backend)
@@ -456,13 +456,15 @@ def _exchange(group: _Group, bus) -> None:
     for member in plan.members:
         send(PLAN_DISTRIBUTION, leader, member, distribution, group=leader)
     # roster registration: the server learns who maps to which evaluation
-    # point, never the weights or the blind
+    # point. The blind never reaches it, but in a signed group it reads each
+    # quantized weight from the leader's AUX_PROOF, and each member's
+    # slice-sum differences from its signatures, by short discrete logs
     roster = dict(members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
     send(PLAN_DISTRIBUTION, leader, SERVER, roster, group=leader)
     own, plans = {}, {}
     for member in sorted(plan.members):
         if member in group.keys:
-            send(KEY_SHARE, member, leader, group.keys[member].upsilon, group=leader)
+            send(KEY_SHARE, member, leader, group.keys[member], group=leader)
         if member in group.logits_sigs:
             send(AUX_PROOF, member, SERVER, group.logits_sigs[member], group=leader)
         if member not in group.bundles:
@@ -476,7 +478,8 @@ def _exchange(group: _Group, bus) -> None:
                 own[member] = share
             else:
                 send(SHARE, member, receiver, share.payload, group=leader)
-    send(AUX_PROOF, leader, SERVER, group.weight_sigs, group=leader)
+    if group.weight_sigs is not None:
+        send(AUX_PROOF, leader, SERVER, group.weight_sigs, group=leader)
     f_coeffs = coding.monomial(cfg.f_degree)
     for member in sorted(group.live):
         held = {member: own[member]} | {m.sender: coding.Share(m.payload) for m in bus.take(member, SHARE, leader)}
@@ -491,21 +494,23 @@ def _conclude(group: _Group, bus) -> GroupResult:
     """Stage 3, conclusion: the server takes its roster, the aggregates and
     the signatures, places each aggregate at the evaluation point of its bus
     sender's position in the roster, decodes at the roster's nodes, proves
-    over the contributors the aggregates name and sends all three to the
-    leader. The leader takes its key shares and that result, then deblinds
-    and verifies; the relative error is against the oracle fixed in
-    `_prepare`.
+    over the contributors the aggregates name (in a signed group) and sends
+    all three to the leader. The leader takes its key shares and that
+    result, then deblinds and verifies; the relative error is against the
+    oracle fixed in `_prepare`. Every party takes its messages before the
+    decode, so an insufficient group leaves no inbox filed.
     Fewer aggregates than the interpolation threshold is "insufficient"."""
     cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
     leader = plan.leader
-    key_of = {m.sender: sigcrypto.PrivateKey(m.payload) for m in bus.take(leader, KEY_SHARE, leader)}
+    key_of = {m.sender: m.payload for m in bus.take(leader, KEY_SHARE, leader)}
     [roster] = [m.payload for m in bus.take(SERVER, PLAN_DISTRIBUTION, leader)]
     aggregates = bus.take(SERVER, AGGREGATED_SHARE, leader)
     point_of = {m: x for x, m in enumerate(roster["members"])}
     points = [(point_of[m.sender], m.payload["payload"]) for m in aggregates]
     signatures = bus.take(SERVER, AUX_PROOF, leader)
-    logits_sigs = {m.sender: m.payload for m in signatures if m.sender != leader}
-    [weight_sigs] = [m.payload for m in signatures if m.sender == leader]
+    if backend is not None:
+        logits_sigs = {m.sender: m.payload for m in signatures if m.sender != leader}
+        [weight_sigs] = [m.payload for m in signatures if m.sender == leader]
     took = {m.sender for m in aggregates}
     live = tuple(m for m in plan.members if m in took)
     result = GroupResult(leader, plan.members, live, "insufficient", oracle=group.oracle)
@@ -518,9 +523,10 @@ def _conclude(group: _Group, bus) -> GroupResult:
     contributors = aggregates[0].payload["contributors"]
     proof = None
     if backend is not None:
-        aux = sigcrypto.AuxProofs({z: logits_sigs[z] for z in contributors}, {z: weight_sigs[z] for z in contributors})
         with perf.timer("server", "proof", count=len(contributors)):
-            proof = sigcrypto.aggregate_proof(aux, backend)
+            proof = sigcrypto.aggregate_proof(
+                {z: logits_sigs[z] for z in contributors}, {z: weight_sigs[z] for z in contributors}, backend
+            )
     reply = dict(decoded=decoded, proof=proof, contributors=contributors)
     bus.send(DECODED_RESULT, SERVER, leader, reply, group=leader)
 

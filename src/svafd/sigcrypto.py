@@ -4,7 +4,9 @@ Followers sign per-slice digests (element sums of their quantized plaintext
 slices) shifted by a private key; the leader signs the quantized weights.
 The server folds both through pairings into a single proof whose target-group
 exponent must equal the digest/weight/key bookkeeping of the decoded teacher;
-the leader checks that equality against its own reconstruction.
+the leader checks that equality against its own reconstruction. A private
+key is a plain int, a signature a group element, and the proof the
+target-group element itself.
 
 Two interchangeable backends: a real pairing group over a supersingular
 curve, and a mock that tracks exponents modulo a 61-bit Mersenne prime with
@@ -101,22 +103,18 @@ def get_backend(name: str):
     raise ValueError(f"unknown backend {name!r}")
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    upsilon: int
-
-
-def gen_key(backend, rng) -> PrivateKey:
+def gen_key(backend, rng) -> int:
+    """A member's private key upsilon, uniform in [1, order - 1]."""
     raw = int.from_bytes(rng.bytes(32), "big")
-    return PrivateKey(upsilon=raw % (backend.order - 1) + 1)
+    return raw % (backend.order - 1) + 1
 
 
-def sign_logits(digests, key: PrivateKey, q: int, backend) -> list:
+def sign_logits(digests, key: int, q: int, backend) -> list:
     """One group element per slice: g^(digest-at-scale-q + key).
 
     All slices share the key, so the backend computes the full-width power
     g^key once and shifts it by each short integer digest (g_pow_offsets)."""
-    return backend.g_pow_offsets(key.upsilon, [_grid_int(v, q, "digest") for v in digests])
+    return backend.g_pow_offsets(key, [_grid_int(v, q, "digest") for v in digests])
 
 
 def quantize_weight(w: float, q: int) -> int:
@@ -131,22 +129,10 @@ def sign_weights(weights_quantized, backend) -> list:
     return [powers[w] for w in weights_quantized]
 
 
-@dataclass(frozen=True)
-class AuxProofs:
-    """Per-member signature material: K slice signatures from each follower
-    and one weight signature from the leader."""
-
-    logits_sigs: dict  # member id -> tuple of K group elements
-    weight_sigs: dict  # member id -> group element
-
-
-@dataclass(frozen=True)
-class Proof:
-    pi_c: object  # target-group element
-
-
-def aggregate_proof(aux: AuxProofs, backend) -> Proof:
-    """pi = prod over members of e(prod_k slice_sig_k, weight_sig).
+def aggregate_proof(logits_sigs: dict, weight_sigs: dict, backend):
+    """pi = prod over members of e(prod_k slice_sig_k, weight_sig), a
+    target-group element. logits_sigs maps each member to its K slice
+    signatures and weight_sigs to the leader's signature of its weight.
 
     Members whose weight signatures are equal share one pairing, by
     bilinearity: prod_z e(A_z, W) = e(prod_z A_z, W). Uniform plan weights
@@ -154,19 +140,17 @@ def aggregate_proof(aux: AuxProofs, backend) -> Proof:
     are multiplied in one backend product (g_prod), which on the pairing
     backend costs one inversion per group. Group elements must be hashable.
     """
-    if set(aux.logits_sigs) != set(aux.weight_sigs):
-        raise IncompleteAux(
-            f"members with slice sigs {sorted(aux.logits_sigs)} != weight sigs {sorted(aux.weight_sigs)}"
-        )
-    if not aux.logits_sigs:
+    if set(logits_sigs) != set(weight_sigs):
+        raise IncompleteAux(f"members with slice sigs {sorted(logits_sigs)} != weight sigs {sorted(weight_sigs)}")
+    if not logits_sigs:
         raise IncompleteAux("no signature material")
     folded = {}  # weight signature -> its members' slice signatures
-    for member in sorted(aux.logits_sigs):
-        folded.setdefault(aux.weight_sigs[member], []).extend(aux.logits_sigs[member])
+    for member in sorted(logits_sigs):
+        folded.setdefault(weight_sigs[member], []).extend(logits_sigs[member])
     pi = backend.gt_identity
     for w, sigs in folded.items():
         pi = backend.gt_mul(pi, backend.pair(backend.g_prod(sigs), w))
-    return Proof(pi_c=pi)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -178,7 +162,7 @@ class Verdict:
 
 
 def verify(
-    proof: Proof,
+    proof,
     teacher: np.ndarray,
     weights_quantized,
     keys,
@@ -187,7 +171,9 @@ def verify(
     backend,
     re_bound: float = DEFAULT_RE_BOUND,
 ) -> Verdict:
-    """Check the proof against the deblinded teacher knowledge.
+    """Check the proof, a target-group element, against the deblinded
+    teacher knowledge; keys are the contributors' int keys, in the order of
+    weights_quantized.
 
     Expected exponent: round(sum of teacher entries * 10^(2q)) plus
     K * sum(quantized weight * key) — the weight scale 10^q and the slice
@@ -211,14 +197,14 @@ def verify(
             RuntimeWarning,
             stacklevel=2,
         )
-    key_term = sum(int(w) * key.upsilon for w, key in zip(weights_quantized, keys))
+    key_term = sum(int(w) * key for w, key in zip(weights_quantized, keys))
     expected = (round(total) + k * key_term) % backend.order
-    accepted = backend.gt_pow(expected) == proof.pi_c
+    accepted = backend.gt_pow(expected) == proof
     probe = None
     if not accepted:
         for dd in range(1, PROBE_DELTA + 1):
             for signed in (dd, -dd):
-                if backend.gt_pow((expected + signed) % backend.order) == proof.pi_c:
+                if backend.gt_pow((expected + signed) % backend.order) == proof:
                     probe = signed
                     break
             if probe is not None:

@@ -118,7 +118,7 @@ class TestStragglers:
         _, transcript = run_small(n=5, r=4, straggler_ids=frozenset({2}))
         assert messages_of(transcript, kind=SHARE, sender=2) == []
         assert messages_of(transcript, kind=AGGREGATED_SHARE, sender=2) == []
-        assert messages_of(transcript, kind=KEY_SHARE, sender=2) != []
+        assert messages_of(transcript, kind=KEY_SHARE, sender=2) == []
 
 
 class TestTranscriptInvariants:
@@ -519,14 +519,14 @@ class TestTranscriptBytes:
 
     HONEST = {"straggler_ids": frozenset()}
     ROUNDS = {  # name: (tamper kind, round overrides, SHA-256 of the export)
-        "honest": (None, HONEST, "c90ad7c40cba5cc71d717a03ffcb085e60188d9b1be836cbc1fcce727811cb29"),
-        "stragglers": (None, {}, "e694af08e555b2543388cdffa3e7d91a553d9aa8949e4b1956135e1190b038f7"),
-        "share_tamper": ("share_tamper", {}, "5a08f1d1375b3601f1cfec4b8fbf4bcb238ce979cb5fda5c0a8fc32d87db2f32"),
-        "weight_tamper": ("weight_tamper", {}, "c1dcaad5f32979d9cf7de2777eb1064441b905af7b2170a44a1adcbd691e47d4"),
-        "server_tamper": ("server_tamper", {}, "fcd534c9607eb949581f1f25dcc4962cd6d18383cb1e000bafb298bd03208c49"),
+        "honest": (None, HONEST, "f7816ece71b0f7a46235d82c91abf4df3bae32408eadc1bf5997ea8afd92521d"),
+        "stragglers": (None, {}, "33b2582068943f1a44abf9e06350824f4467cc9a47f8dba77ed566d7221787fe"),
+        "share_tamper": ("share_tamper", {}, "8e2a8ffcc3c960d6ceb3644f2a9c2b854a256651f9344a34f9a61e380365ae62"),
+        "weight_tamper": ("weight_tamper", {}, "b5f9ed9ba388a30b22d5ad0aa1e74ab729914d63a695bebbb5a0c43883f3fc25"),
+        "server_tamper": ("server_tamper", {}, "9dc7675048ebfd6c9d2edb553de3110d67adadbf1be4d89dc3af0b017d4bb903"),
         "sample_grain": (
             None, {**HONEST, "grain": "sample", "omega": 4},
-            "efce92df1c81c149fc948f0bcfcc70fd1c518887f354990cfaadcb18bbfed0bc",
+            "36e2e42d8eddd5792fb1d748e36a4f987b4108ed68fc2d44b27fe4f56c46cc7a",
         ),
     }
 
@@ -673,7 +673,7 @@ class TestPayloadDigest:
     PAYLOADS = {
         "share": {"share": Share(np.arange(4.0).reshape(2, 2) + 1j)},
         "share array": np.arange(12.0).reshape(4, 3) * (1 - 2j),  # a SHARE: one (omega, d) complex slice
-        "key share": 2**200 + 12345,  # a KEY_SHARE: the int upsilon
+        "key share": 2**200 + 12345,  # a KEY_SHARE: the int key
         "slice signatures": (POINTS[0], None, POINTS[1]),  # a member's AUX_PROOF; None is the identity
         "weight signatures": {4: POINTS[2], 0: POINTS[0], 11: None},  # the leader's AUX_PROOF
         "aggregate": dict(payload=np.zeros((2, 2), dtype=complex), contributors=(0, 1, 5)),
@@ -814,8 +814,9 @@ class TestInboxDrain:
         transcript = run_round(cfg, workload_provider(cfg, alpha=1.0, samples=120), tamper=tamper)
         [bus] = buses
         self.assert_drained(bus, self.STRAGGLERS)
-        # 68 plans and 552 shares to stragglers; 40 fingerprints sent
-        assert len(filed(bus)) == 620 and len(transcript.messages) == 4612
+        # 68 plans and 552 shares to stragglers, who send no key shares; 40
+        # fingerprints sent
+        assert len(filed(bus)) == 620 and len(transcript.messages) == 4544
         assert len(messages_of(transcript, kind=HASHED_CAL)) == cfg.n
 
     def test_insufficient_groups_take_their_messages(self, buses):
@@ -829,6 +830,13 @@ class TestInboxDrain:
 
         cfg = RoundConfig(n=6, r=5, k=2, t=1, q=3, d=4, grain="class")
         group, bus = exchanged_group(np.random.default_rng(3), 5, cfg, -10, 10, MockBackend())
+        assert protocol._conclude(group, bus).verdict == "accept"
+        assert filed(bus) == []
+
+    def test_unsigned_group_sends_no_signature_messages(self):
+        cfg = RoundConfig(n=6, r=5, k=2, t=1, q=3, d=4, grain="class")
+        group, bus = exchanged_group(np.random.default_rng(3), 5, cfg, -10, 10, backend=None)
+        assert messages_of(bus.transcript, kind=KEY_SHARE) == messages_of(bus.transcript, kind=AUX_PROOF) == []
         assert protocol._conclude(group, bus).verdict == "accept"
         assert filed(bus) == []
 

@@ -8,12 +8,9 @@ from svafd.coding import quantize, split
 from svafd.protocol import DECODED_RESULT, RoundConfig, _conclude
 from svafd.sigcrypto import (
     _INT_GUARD,
-    AuxProofs,
     IncompleteAux,
     MockBackend,
     Overflow,
-    PrivateKey,
-    Proof,
     aggregate_proof,
     digest,
     gen_key,
@@ -91,11 +88,11 @@ class TestDigest:
 
 class TestSignLogits:
     def test_zero_digest(self):
-        sigs = sign_logits([0.0], PrivateKey(5), 0, MOCK)
+        sigs = sign_logits([0.0], 5, 0, MOCK)
         assert sigs == [5]
 
     def test_two_slices_and_product(self):
-        sigs = sign_logits([3.0, 4.0], PrivateKey(1), 0, MOCK)
+        sigs = sign_logits([3.0, 4.0], 1, 0, MOCK)
         assert sigs == [4, 5]
         assert MOCK.g_mul(sigs[0], sigs[1]) == 9
 
@@ -104,7 +101,7 @@ class TestSignLogits:
         for _ in range(50):
             v = float(rng.integers(-500, 500))
             ups = int(rng.integers(1, MOCK.order))
-            [sig] = sign_logits([v], PrivateKey(ups), 0, MOCK)
+            [sig] = sign_logits([v], ups, 0, MOCK)
             assert sig == (int(v) + ups) % MOCK.order
 
     def test_grid_digests_scale_exactly(self):
@@ -112,7 +109,7 @@ class TestSignLogits:
         rng = np.random.default_rng(2)
         logits = quantize(rng.uniform(-10, 10, (6, 6)), 3)
         b = split(logits, 3, "class", rng=rng, quantize_digits=3)
-        sigs = sign_logits(digest(b), PrivateKey(0), 3, MOCK)
+        sigs = sign_logits(digest(b), 0, 3, MOCK)
         direct = [int(np.round(s * 1000).sum()) % MOCK.order for s in b.slices]
         assert sigs == direct
 
@@ -147,7 +144,7 @@ class TestSignLogitsCost:
         monkeypatch.setattr(type(backend), "g_pow", lambda self, a: calls.append(a) or full_width(self, a))
         for k in (1, 3, 40):
             calls.clear()
-            sigs = sign_logits([float(v) for v in range(-k, k, 2)], PrivateKey(41), 0, backend)
+            sigs = sign_logits([float(v) for v in range(-k, k, 2)], 41, 0, backend)
             assert len(sigs) == k
             assert calls == [41]
 
@@ -170,19 +167,12 @@ class TestSignWeightsCost:
 
 class TestAggregateProof:
     def test_single_member_hand_value(self):
-        aux = AuxProofs(
-            logits_sigs={7: tuple(sign_logits([2.0], PrivateKey(3), 0, MOCK))},
-            weight_sigs={7: MOCK.g_pow(4)},
-        )
-        proof = aggregate_proof(aux, MOCK)
-        assert proof.pi_c == MOCK.gt_pow(20)  # 4 * (2 + 3)
+        proof = aggregate_proof({7: tuple(sign_logits([2.0], 3, 0, MOCK))}, {7: MOCK.g_pow(4)}, MOCK)
+        assert proof == MOCK.gt_pow(20)  # 4 * (2 + 3)
 
     def test_zero_weight_contributes_identity(self):
-        aux = AuxProofs(
-            logits_sigs={0: tuple(sign_logits([11.0], PrivateKey(13), 0, MOCK))},
-            weight_sigs={0: MOCK.g_pow(0)},
-        )
-        assert aggregate_proof(aux, MOCK).pi_c == MOCK.gt_identity
+        proof = aggregate_proof({0: tuple(sign_logits([11.0], 13, 0, MOCK))}, {0: MOCK.g_pow(0)}, MOCK)
+        assert proof == MOCK.gt_identity
 
     def test_closed_form_exponent(self):
         rng = np.random.default_rng(3)
@@ -191,17 +181,14 @@ class TestAggregateProof:
             vs = {z: [float(rng.integers(-50, 50)) for _ in range(k)] for z in range(r)}
             ups = {z: int(rng.integers(1, 10**6)) for z in range(r)}
             ws = {z: int(rng.integers(0, 1000)) for z in range(r)}
-            aux = AuxProofs(
-                logits_sigs={z: tuple(sign_logits(vs[z], PrivateKey(ups[z]), 0, MOCK)) for z in range(r)},
-                weight_sigs={z: MOCK.g_pow(ws[z]) for z in range(r)},
-            )
+            logits_sigs = {z: tuple(sign_logits(vs[z], ups[z], 0, MOCK)) for z in range(r)}
+            weight_sigs = {z: MOCK.g_pow(ws[z]) for z in range(r)}
             want = sum(ws[z] * (sum(int(v) for v in vs[z]) + k * ups[z]) for z in range(r))
-            assert aggregate_proof(aux, MOCK).pi_c == want % MOCK.order
+            assert aggregate_proof(logits_sigs, weight_sigs, MOCK) == want % MOCK.order
 
     def test_incomplete_material_rejected(self):
-        aux = AuxProofs(logits_sigs={0: (1,)}, weight_sigs={})
         with pytest.raises(IncompleteAux):
-            aggregate_proof(aux, MOCK)
+            aggregate_proof({0: (1,)}, {}, MOCK)
 
 
 # shared weight signatures (0.25 twice, 0.125 twice) and distinct ones,
@@ -229,30 +216,29 @@ def fold_material(backend, seed=11, k=2):
     }
     # an identity slice signature (digest + key = 0 mod the order)
     logits_sigs[1] = (backend.g_pow(0),) + logits_sigs[1][1:]
-    return AuxProofs(logits_sigs=logits_sigs, weight_sigs=weight_sigs)
+    return logits_sigs, weight_sigs
 
 
 class TestProofFolding:
     @pytest.mark.parametrize("name", ["mock", "pairing"])
     def test_folded_proof_equals_per_member_product(self, name):
         backend = get_backend(name)
-        aux = fold_material(backend)
+        logits_sigs, weight_sigs = fold_material(backend)
         want = backend.gt_identity
-        for z in sorted(aux.logits_sigs):
-            combined = aux.logits_sigs[z][0]
-            for s in aux.logits_sigs[z][1:]:
+        for z in sorted(logits_sigs):
+            combined = logits_sigs[z][0]
+            for s in logits_sigs[z][1:]:
                 combined = backend.g_mul(combined, s)
-            want = backend.gt_mul(want, backend.pair(combined, aux.weight_sigs[z]))
-        assert aggregate_proof(aux, backend).pi_c == want
+            want = backend.gt_mul(want, backend.pair(combined, weight_sigs[z]))
+        assert aggregate_proof(logits_sigs, weight_sigs, backend) == want
 
     def test_identity_slice_signature_alone(self):
         backend = get_backend("pairing")
-        aux = AuxProofs(logits_sigs={0: (None, None)}, weight_sigs={0: backend.g_pow(5)})
-        assert aggregate_proof(aux, backend).pi_c == backend.gt_identity
+        assert aggregate_proof({0: (None, None)}, {0: backend.g_pow(5)}, backend) == backend.gt_identity
 
     def test_one_pairing_per_weight_signature(self):
         backend = CountingMock()
-        aggregate_proof(fold_material(backend), backend)
+        aggregate_proof(*fold_material(backend), backend)
         assert backend.pairings == len(set(FOLD_WEIGHTS))
 
     @pytest.mark.parametrize("name", ["mock", "pairing"])
@@ -300,7 +286,7 @@ class TestVerify:
 
     def test_probe_reports_nearby_exponent(self):
         proof, teacher, wq, keys, k, q = honest_group_run(seed=3, r=3, k=1, t=1)
-        shifted = Proof(pi_c=MOCK.gt_pow(verify(proof, teacher, wq, keys, k, q, MOCK).expected_exponent + 2))
+        shifted = MOCK.gt_pow(verify(proof, teacher, wq, keys, k, q, MOCK).expected_exponent + 2)
         verdict = verify(shifted, teacher, wq, keys, k, q, MOCK)
         assert not verdict.accepted
         assert verdict.probe_distance == 2
@@ -314,7 +300,7 @@ class TestVerify:
         # soundness at the integer scale: the smallest representable lie is caught
         proof, teacher, wq, keys, k, q = honest_group_run(seed=5, r=4, k=2, t=1)
         assert verify(proof, teacher, wq, keys, k, q, MOCK).accepted
-        bumped = Proof(pi_c=MOCK.gt_mul(proof.pi_c, MOCK.gt_pow(1)))
+        bumped = MOCK.gt_mul(proof, MOCK.gt_pow(1))
         assert not verify(bumped, teacher, wq, keys, k, q, MOCK).accepted
 
 
