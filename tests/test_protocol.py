@@ -570,6 +570,34 @@ class TestRoundResultsPinned:
         assert self.results_sha256(transcript) == self.RESULTS[name]
 
 
+class TestEnvelopeSequencePinned:
+    """The SHA-256 of every message's envelope in the `TestTranscriptBytes`
+    rounds: one JSON line per message, in send order, of its seq, kind,
+    sender, receiver and group. A change that alters only payloads keeps
+    every value; the envelopes do not depend on the payloads, so rounds
+    with the same stragglers share one value."""
+
+    HONEST = "6cbd4f5c4a354bb563eb8311f39af75537ecd88dc95f47c7aab06e86897cf184"
+    STRAGGLERS = "01fdb28055125d0cde62f44afce27c85f7ce394404e458df27a7c1187f85f16b"
+    ENVELOPES = {  # name: SHA-256 of the envelope sequence
+        "honest": HONEST,
+        "sample_grain": HONEST,
+        "stragglers": STRAGGLERS,
+        "share_tamper": STRAGGLERS,
+        "weight_tamper": STRAGGLERS,
+        "server_tamper": STRAGGLERS,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENVELOPES))
+    def test_envelope_sequence_pinned(self, name):
+        kind, overrides, _ = TestTranscriptBytes.ROUNDS[name]
+        _, transcript = tampered_round(kind, **overrides)
+        h = hashlib.sha256()
+        for m in transcript.messages:
+            h.update((json.dumps([m.seq, m.kind, m.sender, m.receiver, m.group]) + "\n").encode())
+        assert h.hexdigest() == self.ENVELOPES[name]
+
+
 class TestSignedSingleGroupPinned:
     """Teacher SHA-256, verdict, `repr(rel_error)` and probe distance of
     signed `run_single_group` cells, whose key shares and signatures cross
