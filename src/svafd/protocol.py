@@ -5,9 +5,10 @@ each client sends its hashed knowledge fingerprint once, to the `BROADCAST`
 pseudo-receiver, and every client selects the group it leads by scoring the
 fingerprints taken from there, so a fingerprint altered in flight moves the
 groups. The group protocol is written once, as three stages over a `_Group`
-state: `_prepare` (the plan; members quantize, split, blind and sign; the
-plaintext oracle), `_exchange` (encode, deliver shares, aggregate; a member's
-bundle is dropped once it encodes) and `_conclude` (decode, proof, deblind,
+state: `_prepare` (the plan; members quantize, split, blind and draw a key
+for this group; the plaintext oracle), `_exchange` (members take their plans,
+sign and encode, deliver shares, aggregate; the leader signs the weights; a
+member's bundle is dropped once it encodes) and `_conclude` (decode, proof, deblind,
 verify; "insufficient" below the interpolation threshold).
 
 `_exchange` and `_conclude` send and take the group's messages themselves,
@@ -23,7 +24,8 @@ that carries one value carries it bare: a SHARE is the complex share array,
 a KEY_SHARE the int key, a member's AUX_PROOF its k-tuple of slice
 signatures, the leader's its dict of weight signatures, which the server
 tells apart by the bus sender, and DECODED_RESULT's proof the target-group
-element. An unsigned group (no backend) sends no KEY_SHARE and no AUX_PROOF.
+element. An unsigned group (no backend) sends no KEY_SHARE and no AUX_PROOF,
+and its DECODED_RESULT has no proof part.
 Every in-flight attack, built by the threats module, enters as a mutation
 that `MessageBus.send` applies to one message before recording it; one that
 returns `DROP` stops the message, a late dropout.
@@ -381,7 +383,7 @@ def _oracle_teacher(bundles: dict, weights: dict, f_coeffs, grain: str, k: int):
 
 @dataclass
 class _Group:
-    """One group's state, filled in stage by stage."""
+    """One group's state, filled in stage by stage; `_exchange` signs at send."""
 
     cfg: RoundConfig
     plan: coding.GroupPlan
@@ -389,24 +391,23 @@ class _Group:
     backend: object
     perf: PerfRecorder
     weight_ints: dict
-    weight_sigs: dict | None
     bundles: dict = field(default_factory=dict)  # live member -> blinded SplitBundle, until it encodes
     oracle: np.ndarray | None = None  # plaintext reference teacher, fixed once every live member has prepared
-    keys: dict = field(default_factory=dict)  # live member -> its int key, in a signed group
-    logits_sigs: dict = field(default_factory=dict)  # live member -> its k slice signatures
+    keys: dict = field(default_factory=dict)  # live member -> its int key for this group, in a signed group
 
 
-def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weights=None) -> _Group:
-    """Stage 1, member preparation: the leader's plan and weight signatures,
-    then each live member (not in `cfg.straggler_ids`) quantizes, splits, blinds and signs its logits.
+def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, weights=None) -> _Group:
+    """Stage 1, member preparation: the leader's plan, then each live member
+    (not in `cfg.straggler_ids`) quantizes, splits and blinds its logits.
     Once all have, the plaintext oracle is fixed from their bundles, which
     `_exchange` then drops one by one as each member encodes.
 
     inputs(member) returns (raw logits, member rng). In a signed group each
-    live member's key is keys[member], or is drawn from its rng after
-    blinding when keys is None; a straggler keeps no key. A roster that
-    seats its leader is a ValueError, raised before anything is drawn: the
-    server tells the leader's signatures from the members' by the bus sender.
+    live member draws its key for this group from its rng right after
+    blinding, so no two groups share a key; a straggler draws none. A roster
+    that seats its leader is a ValueError, raised before anything is drawn:
+    the server tells the leader's signatures from the members' by the bus
+    sender.
     """
     if leader in roster:
         raise ValueError(f"leader {leader} is seated in its own roster")
@@ -416,11 +417,7 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
         )
     live = tuple(m for m in plan.members if m not in cfg.straggler_ids)
     weight_ints = {m: sigcrypto.quantize_weight(w, cfg.q) for m, w in zip(plan.members, plan.weights)}
-    weight_sigs = None
-    if backend is not None:
-        with perf.timer("leader", "auxiliary", count=len(plan.members)):
-            weight_sigs = dict(zip(plan.members, sigcrypto.sign_weights(list(weight_ints.values()), backend)))
-    group = _Group(cfg, plan, live, backend, perf, weight_ints, weight_sigs)
+    group = _Group(cfg, plan, live, backend, perf, weight_ints)
     for member in sorted(live):
         raw, member_rng = inputs(member)
         with perf.timer("follower", "preprocess"):
@@ -429,11 +426,7 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
             bundle = coding.blind(bundle, cfg.t, cfg.sigma, cfg.theta, member_rng)
         group.bundles[member] = bundle
         if backend is not None:
-            group.keys[member] = sigcrypto.gen_key(backend, member_rng) if keys is None else keys[member]
-            with perf.timer("follower", "auxiliary", count=cfg.k):
-                group.logits_sigs[member] = tuple(
-                    sigcrypto.sign_logits(sigcrypto.digest(bundle), group.keys[member], cfg.q, backend)
-                )
+            group.keys[member] = sigcrypto.gen_key(backend, member_rng)
     if live:
         weights_of = dict(zip(plan.members, plan.weights))
         group.oracle = _oracle_teacher(group.bundles, weights_of, coding.monomial(cfg.f_degree), cfg.grain, cfg.k)
@@ -442,15 +435,16 @@ def _prepare(cfg, leader, roster, rng, inputs, backend, perf, *, keys=None, weig
 
 def _exchange(group: _Group, bus) -> None:
     """Stage 2, share exchange: the leader sends each member the plan and the
-    server the roster; every member sends its key share and signatures.
-    Every live member takes its plan, encodes its bundle under the plan's
-    Lagrange coefficients and sends the x-th share to the plan's x-th member,
-    keeping its share to itself; the group drops the bundle there, so none
-    is left after this stage. After the leader's weight signatures, each
-    attributes every share it holds to its bus sender, aggregates them in its
-    plan's member order under the plan's blinded weights and sends the
-    aggregate, naming those members as contributors, to the server."""
-    cfg, plan, perf = group.cfg, group.plan, group.perf
+    server the roster. Every live member takes its plan and, in a signed group,
+    signs its bundle's slice digests and sends its key share and signatures.
+    It encodes the bundle under the plan's Lagrange coefficients and sends the
+    x-th share to the plan's x-th member, keeping its share to itself; the
+    group drops the bundle there. A signed group's leader then signs and sends
+    the weights. Each live member attributes every share it holds to its bus
+    sender, aggregates them in its plan's member order under the plan's
+    blinded weights and sends the aggregate, naming those members as
+    contributors, to the server."""
+    cfg, plan, backend, perf = group.cfg, group.plan, group.backend, group.perf
     leader, send = plan.leader, bus.send
     distribution = dict(lagrange=plan.lagrange, blinded_weights=plan.blinded_weights, members=plan.members)
     for member in plan.members:
@@ -462,24 +456,27 @@ def _exchange(group: _Group, bus) -> None:
     roster = dict(members=plan.members, k=cfg.k, t=cfg.t, radius=cfg.radius)
     send(PLAN_DISTRIBUTION, leader, SERVER, roster, group=leader)
     own, plans = {}, {}
-    for member in sorted(plan.members):
-        if member in group.keys:
-            send(KEY_SHARE, member, leader, group.keys[member], group=leader)
-        if member in group.logits_sigs:
-            send(AUX_PROOF, member, SERVER, group.logits_sigs[member], group=leader)
-        if member not in group.bundles:
-            continue
+    for member in sorted(group.live):
         [taken] = bus.take(member, PLAN_DISTRIBUTION, leader)
         mine = plans[member] = taken.payload
+        bundle = group.bundles.pop(member)
+        if backend is not None:
+            key = group.keys[member]
+            with perf.timer("follower", "auxiliary", count=cfg.k):
+                signatures = tuple(sigcrypto.sign_logits(sigcrypto.digest(bundle), key, cfg.q, backend))
+            send(KEY_SHARE, member, leader, key, group=leader)
+            send(AUX_PROOF, member, SERVER, signatures, group=leader)
         with perf.timer("follower", "encode"):
-            shares = coding.encode(group.bundles.pop(member), mine["lagrange"], mine["members"])
+            shares = coding.encode(bundle, mine["lagrange"], mine["members"])
         for receiver, share in zip(mine["members"], shares):
             if receiver == member:
                 own[member] = share
             else:
                 send(SHARE, member, receiver, share.payload, group=leader)
-    if group.weight_sigs is not None:
-        send(AUX_PROOF, leader, SERVER, group.weight_sigs, group=leader)
+    if backend is not None:
+        with perf.timer("leader", "auxiliary", count=len(plan.members)):
+            weight_sigs = sigcrypto.sign_weights(list(group.weight_ints.values()), backend)
+        send(AUX_PROOF, leader, SERVER, dict(zip(plan.members, weight_sigs)), group=leader)
     f_coeffs = coding.monomial(cfg.f_degree)
     for member in sorted(group.live):
         held = {member: own[member]} | {m.sender: coding.Share(m.payload) for m in bus.take(member, SHARE, leader)}
@@ -521,13 +518,12 @@ def _conclude(group: _Group, bus) -> GroupResult:
     except coding.InsufficientShares:
         return result
     contributors = aggregates[0].payload["contributors"]
-    proof = None
+    reply = dict(decoded=decoded, contributors=contributors)
     if backend is not None:
         with perf.timer("server", "proof", count=len(contributors)):
-            proof = sigcrypto.aggregate_proof(
+            reply["proof"] = sigcrypto.aggregate_proof(
                 {z: logits_sigs[z] for z in contributors}, {z: weight_sigs[z] for z in contributors}, backend
             )
-    reply = dict(decoded=decoded, proof=proof, contributors=contributors)
     bus.send(DECODED_RESULT, SERVER, leader, reply, group=leader)
 
     [delivered] = [m.payload for m in bus.take(leader, DECODED_RESULT, leader)]
@@ -578,13 +574,11 @@ def run_round(cfg: RoundConfig, logits_provider, tamper=None) -> RoundTranscript
     transcript.topology = filtration.build_topology(groups)
 
     # --- aggregation, then verification in a second pass over leaders ---
-    keys = {cid: sigcrypto.gen_key(backend, np.random.default_rng([cfg.seed, 4, cid])) for cid in clients}
     perf, runs = PerfRecorder(), []
     for leader in clients:
         group = _prepare(
             cfg, leader, groups[leader], np.random.default_rng([cfg.seed, 2, leader]),
-            lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])),
-            backend, perf, keys=keys,
+            lambda m, leader=leader: (matrices[m], np.random.default_rng([cfg.seed, 3, leader, m])), backend, perf,
         )
         if tamper is not None and tamper.leader == leader:
             bus.mutations.update(tamper.mutations(group.plan, group.live))
@@ -613,15 +607,16 @@ def run_single_group(
     stage-timing path when a backend is given (signatures, proof and
     verification included). params are the `RoundConfig` fields named in
     `GROUP_FIELDS`, at their defaults when left out; any other key is a
-    TypeError. The group is checked by `validate_group` before any plan is
-    built."""
+    TypeError. The group (r members and leader r) is checked before any plan
+    is built: by `validate` when signed, else by `validate_group`."""
     unknown = params.keys() - GROUP_FIELDS
     if unknown:
         raise TypeError(f"run_single_group() takes no group field {', '.join(sorted(unknown))}")
-    cfg = RoundConfig(n=r, r=r, k=k, t=t, **params)
-    cfg.validate_group()
-    if backend is not None and cfg.f_degree != 1:
-        raise ValueError("proof verification covers degree-1 aggregation only")
+    cfg = RoundConfig(n=r + 1, r=r, k=k, t=t, **params)
+    if backend is not None:
+        cfg.validate()
+    else:
+        cfg.validate_group()
     rng = np.random.default_rng([seed, r, k, t] if isinstance(seed, int) else seed)
     shape = cfg.logits_shape()
 

@@ -519,14 +519,14 @@ class TestTranscriptBytes:
 
     HONEST = {"straggler_ids": frozenset()}
     ROUNDS = {  # name: (tamper kind, round overrides, SHA-256 of the export)
-        "honest": (None, HONEST, "f7816ece71b0f7a46235d82c91abf4df3bae32408eadc1bf5997ea8afd92521d"),
-        "stragglers": (None, {}, "33b2582068943f1a44abf9e06350824f4467cc9a47f8dba77ed566d7221787fe"),
-        "share_tamper": ("share_tamper", {}, "8e2a8ffcc3c960d6ceb3644f2a9c2b854a256651f9344a34f9a61e380365ae62"),
-        "weight_tamper": ("weight_tamper", {}, "b5f9ed9ba388a30b22d5ad0aa1e74ab729914d63a695bebbb5a0c43883f3fc25"),
-        "server_tamper": ("server_tamper", {}, "9dc7675048ebfd6c9d2edb553de3110d67adadbf1be4d89dc3af0b017d4bb903"),
+        "honest": (None, HONEST, "90dfdf406d1393fe0315e0964c346c19d9458700de4c17531cc0822a2f6faa37"),
+        "stragglers": (None, {}, "17a3f9f0339aa68c35734d88ebd18b4a27891614a032b273bb1d30bfbb2d85d8"),
+        "share_tamper": ("share_tamper", {}, "9299ce76fe36b60722e11599e7555330f569219e8a352222d1813ca24037efa3"),
+        "weight_tamper": ("weight_tamper", {}, "a7d8f670ec8b733e052c8fd0fda4c2de03450fbc67d5c5919a5ddf3dd4aea648"),
+        "server_tamper": ("server_tamper", {}, "bf03bae0f1a405ff4f51d92a8650057644ee9398202dd6eecafd5deb513bb9c9"),
         "sample_grain": (
             None, {**HONEST, "grain": "sample", "omega": 4},
-            "36e2e42d8eddd5792fb1d748e36a4f987b4108ed68fc2d44b27fe4f56c46cc7a",
+            "6db74b1d6f508989c5624528bfcdbbc0614b980d0fc216f4a802a0e80e5eee80",
         ),
     }
 
@@ -867,6 +867,29 @@ class TestInboxDrain:
         assert messages_of(bus.transcript, kind=KEY_SHARE) == messages_of(bus.transcript, kind=AUX_PROOF) == []
         assert protocol._conclude(group, bus).verdict == "accept"
         assert filed(bus) == []
+
+
+class TestSigningPerGroup:
+    """Keys are drawn per group, so a member's key share differs in each
+    group it joins; only a signed group's result carries a proof."""
+
+    def test_no_sender_repeats_a_key_share_across_groups(self):
+        _, transcript = tampered_round(None)
+        by_sender = {}
+        for m in messages_of(transcript, kind=KEY_SHARE):
+            by_sender.setdefault(m.sender, []).append(m.payload)
+        assert max(map(len, by_sender.values())) > 1
+        for sender, values in by_sender.items():
+            assert len(set(values)) == len(values), sender
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_single_group_result_parts(self, signed, buses):
+        from svafd.sigcrypto import MockBackend
+
+        run_single_group(5, 2, 1, grain="class", d=4, seed=3, backend=MockBackend() if signed else None)
+        [bus] = buses
+        [reply] = messages_of(bus.transcript, kind=DECODED_RESULT)
+        assert sorted(reply.payload) == sorted(["decoded", "contributors"] + ["proof"] * signed)
 
 
 class TestBusMutation:
