@@ -4,8 +4,9 @@ A client splits its logits into K slices (additively for class grain,
 block-wise for sample grain), appends T truncated complex-Gaussian noise
 slices, and encodes the K+T blocks through Lagrange coefficients at the
 group's evaluation points. Every member aggregates the shares it receives
-under blinded weights; the server interpolates the aggregates back to the
-anchor points, and the leader removes the blind and rejoins the slices.
+under blinded weights; the server decodes the aggregates back at the anchor
+points (interpolating, or fitting by least squares when spare aggregates
+survive), and the leader removes the blind and rejoins the slices.
 
 Slices are snapped onto the 10^-q grid before encoding (and before digest
 computation in the signature layer) so that decoded sums and signature
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InterpolationNodes, interpolate, lagrange_matrix, make_nodes
+from .numerics import InterpolationNodes, interpolate, lagrange_matrix, least_squares, make_nodes
 
 
 class IndivisibleO(ValueError):
@@ -270,11 +271,19 @@ def local_aggregate(received, blinded_weights: dict, f_coeffs) -> Share:
 
 
 def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) -> list[np.ndarray]:
-    """Interpolate the aggregated evaluations back to the first K anchors and
-    return the real parts, one tensor per plaintext slice.
+    """Recover the aggregated polynomial at the first K anchors from its
+    evaluations and return the real parts, one tensor per plaintext slice.
 
     aggregates: iterable of (evaluation-point index, payload array). Needs
-    at least the interpolation threshold of them (see `check_achievable`).
+    at least the interpolation threshold tau of them (see
+    `check_achievable`). The evaluations lie on one polynomial of degree
+    tau - 1. With s of them, tau < s < r (r evaluation points), decode fits
+    that degree by least squares (`numerics.least_squares`), so the spare
+    evaluations average out the rounding noise instead of being interpolated
+    through: a 40-point arc of r = 100 at k = t = 10 decodes at ~1e-10
+    against ~1 for the degree s - 1 interpolant. At s = r and at s = tau it
+    keeps the barycentric interpolant (`numerics.interpolate`), which is the
+    fit at s = tau and about 0.4 digits sharper than QR on a full set.
     """
     items = []
     seen = set()
@@ -286,7 +295,10 @@ def decode(aggregates, nodes: InterpolationNodes, k: int, t: int, deg_f: int) ->
     threshold = check_achievable(len(items), k, t, deg_f).threshold
     if len(items) < threshold:
         raise InsufficientShares(f"{len(items)} aggregates < threshold {threshold}")
-    decoded = interpolate(items, nodes.betas[:k])
+    if threshold < len(items) < len(nodes.alphas):
+        decoded = least_squares(items, threshold - 1, nodes.betas[:k])
+    else:
+        decoded = interpolate(items, nodes.betas[:k])
     return [d.real for d in decoded]
 
 

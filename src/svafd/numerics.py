@@ -2,7 +2,9 @@
 
 Provides interpolation-node construction on circles in the complex plane,
 Lagrange coefficients, stable barycentric polynomial interpolation for
-tensor-valued data, and the relative-error metric.
+tensor-valued data, a least-squares polynomial fit at a given degree
+(Householder QR of the monomial Vandermonde matrix, for more points than the
+degree needs), and the relative-error metric.
 """
 
 from __future__ import annotations
@@ -158,6 +160,28 @@ def interpolate(points, targets) -> list[np.ndarray]:
     for i in np.nonzero(hit.any(axis=1))[0]:
         out[i] = flat[int(np.argmax(hit[i]))]
     return [out[i].reshape(ys.shape[1:]) for i in range(len(targets))]
+
+
+def least_squares(points, degree: int, targets) -> np.ndarray:
+    """Fit one elementwise polynomial of the given degree to (x, tensor)
+    points by least squares and evaluate it at each target; returns the
+    (n_targets,) + tensor-shape array.
+
+    The abscissae are divided by their largest modulus, so that on a circle
+    the monomials over a full node set form a DFT. The fit goes through a
+    Householder QR of that monomial Vandermonde matrix V = QR: the map from
+    the points to the targets is D = V_targets R^-1 Q^H, one
+    (n_targets x n_points) matrix. V_targets R^-1 is solved first, as the
+    transposed system R^T X = V_targets^T: on a short arc of points, where V
+    is ill-conditioned, that keeps about five more digits than forming
+    R^-1 Q^H. Needs more points than the degree."""
+    xs = np.asarray([p[0] for p in points], dtype=complex)
+    ys = np.stack([np.asarray(p[1], dtype=complex) for p in points])
+    scale = float(np.abs(xs).max())
+    q, r = np.linalg.qr(np.vander(xs / scale, degree + 1, increasing=True))
+    at_targets = np.vander(np.asarray(list(targets), dtype=complex) / scale, degree + 1, increasing=True)
+    d = np.linalg.solve(r.T, at_targets.T).T @ q.conj().T
+    return (d @ ys.reshape(len(xs), -1)).reshape((len(at_targets),) + ys.shape[1:])
 
 
 def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:

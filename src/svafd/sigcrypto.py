@@ -104,8 +104,13 @@ def get_backend(name: str):
 
 
 def gen_key(backend, rng) -> int:
-    """A member's private key upsilon, uniform in [1, order - 1]."""
-    raw = int.from_bytes(rng.bytes(32), "big")
+    """A member's private key upsilon, uniform in [1, order - 1].
+
+    The 256 bits are four raw 64-bit words of the rng's bit generator, laid
+    out little-endian: the same bytes as `rng.bytes(32)` whenever the bit
+    generator holds no buffered 32-bit half-word (none does after uniform
+    and normal draws), at about a third of its cost."""
+    raw = int.from_bytes(rng.bit_generator.random_raw(4).astype("<u8").tobytes(), "big")
     return raw % (backend.order - 1) + 1
 
 

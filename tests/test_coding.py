@@ -21,7 +21,7 @@ from svafd.coding import (
     split,
     _truncated_normal,
 )
-from svafd.numerics import make_nodes, relative_error
+from svafd.numerics import interpolate, least_squares, make_nodes, relative_error
 
 
 from helpers import full_pipeline, lagrange_coeff
@@ -394,6 +394,31 @@ class TestDecode:
         assert relative_error(teacher, oracle) <= 1e-6
 
 
+class TestDecodeSelection:
+    """decode keeps the barycentric interpolant, byte for byte, when every
+    member survives or exactly the threshold does, and fits by least squares
+    at degree threshold - 1 when the survivor count lies strictly between."""
+
+    R, K, T = 12, 3, 2  # threshold 5
+
+    def decode_against(self, survivors):
+        nodes = make_nodes(self.R, self.K, self.T)
+        rng = np.random.default_rng(len(survivors))
+        aggs = [(int(x), rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))) for x in survivors]
+        items = [(nodes.alphas[x], agg) for x, agg in aggs]
+        got = decode(aggs, nodes, self.K, self.T, 1)
+        return [g.tobytes() for g in got], items, nodes
+
+    @pytest.mark.parametrize("survivors", [range(12), [11, 0, 7, 3, 5]], ids=["full", "threshold"])
+    def test_barycentric_bytes(self, survivors):
+        got, items, nodes = self.decode_against(survivors)
+        assert got == [d.real.tobytes() for d in interpolate(items, nodes.betas[: self.K])]
+
+    def test_partial_set_fits_at_the_threshold_degree(self):
+        got, items, nodes = self.decode_against([0, 2, 3, 5, 6, 8, 9])
+        assert got == [d.real.tobytes() for d in least_squares(items, 4, nodes.betas[: self.K])]
+
+
 class TestDeblindJoin:
     def test_class_sum(self):
         out = deblind_and_join([np.array([[1.0]]), np.array([[2.0]])], np.ones((1, 1)), "class")
@@ -462,6 +487,27 @@ class TestDResilience:
         drop = set(range(16))  # budget is 15
         with pytest.raises(InsufficientShares):
             full_pipeline(seed=5, r=r, k=k, t=t, deg_f=deg, drop=drop)
+
+    # r=100, k=t=10, threshold 20: between the threshold and the full roster
+    # decode fits degree 19 by least squares; the dropped holders are late
+    # dropouts, so the survivors are exactly the kept plan positions
+    @staticmethod
+    def error_without(drop):
+        teacher, oracle = full_pipeline(seed=1, r=100, k=10, t=10, deg_f=1, drop=drop)
+        return relative_error(teacher, oracle)
+
+    def test_forty_point_arc_decodes(self):
+        assert self.error_without(range(40, 100)) <= 1e-6
+
+    def test_sixty_point_arc_decodes(self):
+        assert self.error_without(range(60, 100)) <= 1e-12
+
+    def test_alternating_survivors_decode(self):
+        assert self.error_without(range(1, 100, 2)) <= 1e-12
+
+    def test_random_seventy_survivors_decode(self):
+        drop = sorted(map(int, np.random.default_rng(1).permutation(100)[:30]))
+        assert self.error_without(drop) <= 1e-12
 
     @pytest.mark.xfail(
         strict=True,

@@ -8,6 +8,7 @@ from svafd.numerics import (
     ZeroTruth,
     interpolate,
     lagrange_matrix,
+    least_squares,
     make_nodes,
     relative_error,
 )
@@ -168,6 +169,51 @@ class TestInterpolate:
             want = poly_eval(coeffs, tgt)
             rel = np.linalg.norm(y - want) / np.linalg.norm(want)
             assert rel <= 1e-8
+
+
+class TestLeastSquares:
+    def test_recovers_a_polynomial_of_the_fitted_degree(self):
+        # a degree-4 tensor polynomial sampled at 11 scattered nodes of a
+        # circle of radius 2, re-evaluated off the nodes
+        rng = np.random.default_rng(7)
+        coeffs = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(5)]
+        xs = 2 * np.exp(-2j * np.pi * np.sort(rng.permutation(16)[:11]) / 16)
+        targets = [0.0, 1.5 - 0.5j, -2j]
+        got = least_squares([(x, poly_eval(coeffs, x)) for x in xs], 4, targets)
+        assert got.shape == (3, 2, 3)
+        for tgt, y in zip(targets, got):
+            want = poly_eval(coeffs, tgt)
+            assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_averages_out_noise_off_the_polynomial(self):
+        # a line plus a degree-7 term on 8 equally spaced circle nodes: the
+        # degree-7 monomial is orthogonal to 1 and x there, so the degree-1
+        # fit returns the line exactly, where interpolation would not
+        xs = np.exp(-2j * np.pi * np.arange(8) / 8)
+        pts = [(x, np.array([3.0 - 1.0 * x + 0.5 * x**7])) for x in xs]
+        [y] = least_squares(pts, 1, [0.25])
+        assert abs(y[0] - (3.0 - 0.25)) <= 1e-14
+        [z] = interpolate(pts, [0.25])
+        assert abs(z[0] - (3.0 - 0.25)) > 1e-6
+
+    def test_matches_interpolation_at_degree_points_minus_one(self):
+        rng = np.random.default_rng(9)
+        xs = np.exp(-2j * np.pi * np.arange(7) / 7)
+        pts = [(x, rng.normal(size=(4,)) + 0j) for x in xs]
+        targets = np.exp(-2j * np.pi * (np.arange(3) + 0.5) / 3)
+        np.testing.assert_allclose(least_squares(pts, 6, targets), np.stack(interpolate(pts, targets)), atol=1e-12)
+
+    def test_short_arc_keeps_ten_digits(self):
+        # 40 consecutive nodes of 100 on the unit circle, a degree-19 fit:
+        # the monomial Vandermonde is ill-conditioned there, and solving for
+        # V_targets R^-1 before applying Q^H keeps the result accurate
+        rng = np.random.default_rng(1)
+        coeffs = [rng.normal(size=(5,)) + 1j * rng.normal(size=(5,)) for _ in range(20)]
+        xs = np.exp(-2j * np.pi * np.arange(40) / 100)
+        targets = np.exp(-2j * np.pi * np.arange(10) / 20)
+        got = least_squares([(x, poly_eval(coeffs, x)) for x in xs], 19, targets)
+        want = np.stack([poly_eval(coeffs, tgt) for tgt in targets])
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestRelativeError:

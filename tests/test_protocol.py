@@ -121,6 +121,47 @@ class TestStragglers:
         assert messages_of(transcript, kind=KEY_SHARE, sender=2) == []
 
 
+class TestPartialSurvivorRounds:
+    """Seeded mock rounds (n=40, r=10, k=2, t=1, so threshold 3) with 8
+    stragglers: most groups keep more survivors than the threshold but fewer
+    than the roster, and the server decodes them by the least-squares fit at
+    degree 2. Each such honest group accepts, and a one-grid-unit share,
+    weight or server tamper on the one with the fewest survivors is
+    rejected."""
+
+    SEEDS = range(8)
+    KINDS = ["share_tamper", "weight_tamper", "server_tamper"]
+
+    @staticmethod
+    def run(seed, tamper=None):
+        stragglers = frozenset(map(int, np.random.default_rng(seed).permutation(40)[:8]))
+        cfg = small_cfg(n=40, r=10, seed=seed, straggler_ids=stragglers)
+        return run_round(cfg, workload_provider(cfg, alpha=1.0, samples=150), tamper=tamper)
+
+    @staticmethod
+    @functools.cache
+    def partial_groups(seed):
+        """The honest round's results of the groups with 3 < survivors < 10,
+        fewest survivors first."""
+        results = TestPartialSurvivorRounds.run(seed).group_results
+        partial = [res for res in results.values() if 3 < len(res.live_members) < 10]
+        return sorted(partial, key=lambda res: (len(res.live_members), res.leader))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_honest_partial_groups_accept(self, seed):
+        partial = self.partial_groups(seed)
+        assert len(partial) >= 30
+        for res in partial:
+            assert res.verdict == "accept" and res.rel_error <= 1e-12, res.leader
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_grid_unit_tamper_rejected(self, seed, kind):
+        leader = self.partial_groups(seed)[0].leader
+        tamper = threats.inject_tamper(threats.AttackSpec(kind, {"delta": 1e-3}), leader=leader)
+        assert self.run(seed, tamper).group_results[leader].verdict == "reject"
+
+
 class TestTranscriptInvariants:
     def test_stage_ordering_per_group(self):
         _, transcript = run_small(n=8, r=4)
